@@ -4,8 +4,7 @@
 // Usage:
 //
 //	confbench [-figure all|5|6|7|8|ldap|throughput|scenarios|faults|verify|cluster|latency|interp]
-//	          [-superblocks=true|false] [-chain on|off] [-fuse on|off]
-//	          [-threaded on|off] [-parallel N]
+//	          [-superblocks=true|false] [-parallel N]
 //	          [-seed N] [-short] [-list]
 //	          [-json] [-out BENCH_interp.json] [-profile FILE]
 //
@@ -17,14 +16,16 @@
 // expands a grid of (request multiplier x hit ratio) specs for the
 // confidential KV store and the TLS-ish handshake, and every cell's
 // request stream is a pure function of -seed — the printed table is
-// byte-identical across runs, dispatch modes and -parallel settings.
+// byte-identical across runs, -superblocks and -parallel settings.
 // The "faults" figure serves the same scenario traffic through the bench
 // supervisor under seeded fault injection (internal/chaos) and reports
 // availability, recovery latency and verify-gate rejections; it shares
 // the scenarios figure's determinism contract because the injector and
 // the simulated clock are the only randomness sources and both derive
-// from -seed. -short shrinks the grids to a smoke size; -list prints the
-// known figures and registered workloads and exits.
+// from -seed. -short shrinks the scenarios, faults, verify, cluster and
+// latency grids to a smoke size and leaves Figures 5-8, ldap, throughput
+// and interp at full size; -list prints the known figures and registered
+// workloads and exits.
 //
 // The "verify" figure turns the load gate itself into an evaluation
 // target: every workload's binary under both deployable schemes is
@@ -32,9 +33,9 @@
 // verifymut mutation corpus is run against it. The per-binary counters
 // (functions, stubs, instructions, mutants tried/killed) are pure
 // functions of the bits and -seed, so that part of the table is
-// byte-identical across -parallel settings — the nightly job diffs it —
+// byte-identical across -parallel settings and pinned by a golden file,
 // while the throughput lines (funcs/s, insts/s, dispatch speedup) are
-// host time and carry a "(host)" marker so diffs can strip them. A
+// host time and carry a "(host)" marker so comparisons can strip them. A
 // mutation kill rate below 100% fails the figure: a surviving mutant is
 // a verifier soundness hole.
 //
@@ -53,7 +54,7 @@
 // FIFO queue fed by seeded open-loop arrival processes (uniform,
 // Poisson, bursty) at three offered loads, and the p50/p95/p99/max
 // latency plus queue-depth columns come out byte-identical across
-// -parallel, -superblocks and -chain. -profile FILE additionally turns
+// -parallel and -superblocks. -profile FILE additionally turns
 // on the machine's cycle-attribution profiler for every table cell and
 // writes one merged folded-stack profile (symbol + cycles per line,
 // flamegraph-ready); profile totals conserve the runs' cycle counters
@@ -74,20 +75,20 @@
 // changes have a perf trajectory to compare against.
 //
 // -superblocks=false replays everything with per-instruction stepping,
-// and -chain=off keeps superblock dispatch but disables direct block
-// chaining; -fuse=off disables superinstruction fusion and -threaded=on
-// swaps the opcode switch for the per-slot handler table. The figure
-// tables must come out byte-identical under every combination (the
-// nightly CI job diffs stepwise-vs-superblock, chained-vs-unchained,
-// fused-vs-unfused and threaded-vs-switch). The "interp" figure runs
-// every workload in both dispatch modes back to back, verifies the
-// simulated cycles agree, and reports the dispatch speedup.
+// the oracle the superblock dispatcher must match. Every figure except
+// interp is pinned by testdata/<figure>.golden (the output with its
+// "(host" lines removed): TestGoldenFigures checks default dispatch on
+// the default worker pool, and the nightly CI job checks stepping at
+// -parallel=1. The "interp" figure runs every workload in both dispatch
+// modes back to back, verifies the simulated cycles agree, and reports
+// the dispatch speedup.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -117,8 +118,8 @@ type benchRow struct {
 	HostNS     int64   `json:"host_ns"`
 	MIPS       float64 `json:"mips"`
 	// FusedSlots counts fused superinstruction slots executed (an
-	// observability counter: zero when -fuse=off, excluded from the
-	// cross-mode determinism compares).
+	// observability counter: zero under -superblocks=false, excluded
+	// from the cross-mode determinism compares).
 	FusedSlots uint64 `json:"fused_slots,omitempty"`
 
 	// Availability columns, set only for supervised (faults-figure) rows.
@@ -184,12 +185,8 @@ type benchReport struct {
 	// FigureFilter records the -figure selection so partial runs are never
 	// mistaken for a full-suite trajectory point.
 	FigureFilter string `json:"figure_filter"`
-	// Superblocks/Chain/Fuse/Threaded record the dispatch mode of the
-	// figure-table runs.
+	// Superblocks records the dispatch mode of the figure-table runs.
 	Superblocks bool `json:"superblocks"`
-	Chain       bool `json:"chain"`
-	Fuse        bool `json:"fuse"`
-	Threaded    bool `json:"threaded"`
 	// Parallel is the worker count the matrix ran with.
 	Parallel    int    `json:"parallel"`
 	TotalInstrs uint64 `json:"total_instrs"`
@@ -208,11 +205,11 @@ var (
 	reportMu sync.Mutex
 	report   *benchReport
 	// mcfg is the machine configuration used for the figure tables,
-	// controlled by -superblocks.
-	mcfg machine.Config
-	// scenarioSeed and shortGrid parameterize the scenarios sweep
+	// controlled by -superblocks and -profile.
+	mcfg = machine.DefaultConfig()
+	// scenarioSeed and shortGrid parameterize the seeded figures
 	// (-seed / -short).
-	scenarioSeed uint64
+	scenarioSeed = scenario.DefaultSeed
 	shortGrid    bool
 )
 
@@ -286,8 +283,8 @@ func record(figure, workload, variant string, m *bench.Measurement) {
 }
 
 // renderFn consumes a figure's slice of the matrix results (in cell
-// order) and prints its table.
-type renderFn func([]bench.CellResult) error
+// order) and writes its table to w.
+type renderFn func(w io.Writer, results []bench.CellResult) error
 
 // figureSpec is one figure: build returns the figure's cells plus the
 // render that assembles them once the matrix has run.
@@ -334,36 +331,17 @@ func figuresFor(name string) ([]figureSpec, error) {
 func main() {
 	figure := flag.String("figure", "all", "which figure to regenerate: "+figureNames())
 	superblocks := flag.Bool("superblocks", true, "dispatch basic blocks (false = per-instruction stepping)")
-	chainFlag := flag.String("chain", "on", "direct block chaining: on|off (escape hatch; only meaningful with -superblocks)")
-	fuseFlag := flag.String("fuse", "on", "superinstruction fusion: on|off (escape hatch; only meaningful with -superblocks)")
-	threadedFlag := flag.String("threaded", "off", "threaded per-slot handler dispatch: on|off (replaces the opcode switch; only meaningful with -superblocks)")
 	parallel := flag.Int("parallel", 0, "worker goroutines for the bench matrix (0 = GOMAXPROCS, 1 = serial)")
 	seed := flag.Uint64("seed", scenario.DefaultSeed, "base seed of the scenario traffic engine")
-	short := flag.Bool("short", false, "shrink the scenarios grid to a smoke size")
+	short := flag.Bool("short", false, "shrink the scenarios, faults, verify, cluster and latency grids to a smoke size (Figures 5-8, ldap, throughput and interp stay full size)")
 	list := flag.Bool("list", false, "print known figures and registered workloads, then exit")
 	jsonOut := flag.Bool("json", false, "also write a JSON perf report")
 	outPath := flag.String("out", "BENCH_interp.json", "path of the JSON report (with -json)")
 	profilePath := flag.String("profile", "", "enable cycle profiling and write the merged folded-stack profile of every cell to this file")
 	flag.Parse()
 
-	mcfg = machine.DefaultConfig()
 	mcfg.Superblocks = *superblocks
 	mcfg.Profile = *profilePath != ""
-	onOff := func(name, val string) bool {
-		switch val {
-		case "on", "true", "1":
-			return true
-		case "off", "false", "0":
-			return false
-		default:
-			fmt.Fprintf(os.Stderr, "confbench: bad -%s %q (want on or off)\n", name, val)
-			os.Exit(2)
-			panic("unreachable")
-		}
-	}
-	mcfg.Chain = onOff("chain", *chainFlag)
-	mcfg.Fuse = onOff("fuse", *fuseFlag)
-	mcfg.Threaded = onOff("threaded", *threadedFlag)
 	scenarioSeed = *seed
 	shortGrid = *short
 
@@ -377,9 +355,6 @@ func main() {
 			GeneratedAt:  time.Now().UTC().Format(time.RFC3339),
 			FigureFilter: *figure,
 			Superblocks:  *superblocks,
-			Chain:        mcfg.Chain,
-			Fuse:         mcfg.Fuse,
-			Threaded:     mcfg.Threaded,
 			Parallel:     workers,
 		}
 		if *figure != "all" && *outPath == "BENCH_interp.json" {
@@ -407,30 +382,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Build the combined cell matrix for the selected figures, remembering
-	// each figure's slice so renders run in figure order afterwards.
-	var cells []bench.Cell
-	type pending struct {
-		name   string
-		lo, hi int
-		render renderFn
-	}
-	var pend []pending
-	for _, f := range selected {
-		cs, render := f.build()
-		pend = append(pend, pending{f.name, len(cells), len(cells) + len(cs), render})
-		cells = append(cells, cs...)
-	}
-
-	start := time.Now()
-	results := bench.RunMatrix(cells, workers)
-	suiteWall := time.Since(start)
-
-	for _, p := range pend {
-		if err := p.render(results[p.lo:p.hi]); err != nil {
-			fmt.Fprintf(os.Stderr, "confbench: figure %s: %v\n", p.name, err)
-			os.Exit(1)
-		}
+	results, suiteWall, err := runFigures(os.Stdout, selected, workers)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "confbench: %v\n", err)
+		os.Exit(1)
 	}
 
 	if *profilePath != "" {
@@ -474,6 +429,36 @@ func main() {
 	}
 }
 
+// runFigures builds the combined cell matrix for the selected figures,
+// runs it on workers goroutines, and renders each figure to w in
+// selection order. It returns the matrix results and the matrix's wall
+// time.
+func runFigures(w io.Writer, selected []figureSpec, workers int) ([]bench.CellResult, time.Duration, error) {
+	var cells []bench.Cell
+	type pending struct {
+		name   string
+		lo, hi int
+		render renderFn
+	}
+	var pend []pending
+	for _, f := range selected {
+		cs, render := f.build()
+		pend = append(pend, pending{f.name, len(cells), len(cells) + len(cs), render})
+		cells = append(cells, cs...)
+	}
+
+	start := time.Now()
+	results := bench.RunMatrix(cells, workers)
+	wall := time.Since(start)
+
+	for _, p := range pend {
+		if err := p.render(w, results[p.lo:p.hi]); err != nil {
+			return nil, 0, fmt.Errorf("figure %s: %w", p.name, err)
+		}
+	}
+	return results, wall, nil
+}
+
 // tableRow is one figure-table row: its name, workload, and the Wall
 // divisor for the table cell (0 = absolute cycles).
 type tableRow struct {
@@ -499,7 +484,7 @@ func tableCells(figure string, rows []tableRow, cols []confllvm.Variant) []bench
 // renderTable fills tbl from results and records the JSON rows. value
 // converts a measurement into the table cell; nil selects the default
 // (Wall, divided by the cell's Scale).
-func renderTable(figure string, tbl *bench.Table, results []bench.CellResult,
+func renderTable(w io.Writer, figure string, tbl *bench.Table, results []bench.CellResult,
 	value func(bench.CellResult) uint64) error {
 	if value == nil {
 		value = func(r bench.CellResult) uint64 {
@@ -517,14 +502,14 @@ func renderTable(figure string, tbl *bench.Table, results []bench.CellResult,
 		tbl.Set(r.Cell.Row, r.Cell.Variant, value(r))
 		record(figure, r.Cell.Row, r.Cell.Variant.String(), r.M)
 	}
-	fmt.Println(tbl)
+	fmt.Fprintln(w, tbl)
 	return nil
 }
 
 // printGeomeans prints the CFI/MPX/Seg geomean-overhead line fig5 and
 // the throughput table share.
-func printGeomeans(prefix string, tbl *bench.Table) {
-	fmt.Printf("%s: CFI=%.1f%%  MPX=%.1f%%  Seg=%.1f%%\n\n", prefix,
+func printGeomeans(w io.Writer, prefix string, tbl *bench.Table) {
+	fmt.Fprintf(w, "%s: CFI=%.1f%%  MPX=%.1f%%  Seg=%.1f%%\n\n", prefix,
 		tbl.GeoMeanOverhead(confllvm.VariantCFI),
 		tbl.GeoMeanOverhead(confllvm.VariantMPX),
 		tbl.GeoMeanOverhead(confllvm.VariantSeg))
@@ -538,11 +523,11 @@ func fig5() ([]bench.Cell, renderFn) {
 	for _, k := range bench.SPECKernels() {
 		rows = append(rows, tableRow{k.Name, bench.SPECWorkload(k, k.Params), 0})
 	}
-	render := func(results []bench.CellResult) error {
-		if err := renderTable("fig5", tbl, results, nil); err != nil {
+	render := func(w io.Writer, results []bench.CellResult) error {
+		if err := renderTable(w, "fig5", tbl, results, nil); err != nil {
 			return err
 		}
-		printGeomeans("geomean overheads", tbl)
+		printGeomeans(w, "geomean overheads", tbl)
 		return nil
 	}
 	return tableCells("fig5", rows, cols), render
@@ -558,8 +543,8 @@ func fig6() ([]bench.Cell, renderFn) {
 		rows = append(rows, tableRow{fmt.Sprintf("resp-%02dKB", kb),
 			bench.WebWorkload(reqs, kb*1024), reqs})
 	}
-	render := func(results []bench.CellResult) error {
-		return renderTable("fig6", tbl, results, nil)
+	render := func(w io.Writer, results []bench.CellResult) error {
+		return renderTable(w, "fig6", tbl, results, nil)
 	}
 	return tableCells("fig6", rows, cols), render
 }
@@ -572,8 +557,8 @@ func ldap() ([]bench.Cell, renderFn) {
 		{"query-miss", bench.LDAPWorkload(queries, 100), queries},
 		{"query-hit", bench.LDAPWorkload(queries, 0), queries},
 	}
-	render := func(results []bench.CellResult) error {
-		return renderTable("ldap", tbl, results, nil)
+	render := func(w io.Writer, results []bench.CellResult) error {
+		return renderTable(w, "ldap", tbl, results, nil)
 	}
 	return tableCells("ldap", rows, cols), render
 }
@@ -584,8 +569,8 @@ func fig7() ([]bench.Cell, renderFn) {
 	tbl := bench.NewTable("Figure 7: Privado classification latency (% of Base)", cols, "cyc/img")
 	const images = 4
 	rows := []tableRow{{"classify", bench.ClassifierWorkload(images), images}}
-	render := func(results []bench.CellResult) error {
-		return renderTable("fig7", tbl, results, nil)
+	render := func(w io.Writer, results []bench.CellResult) error {
+		return renderTable(w, "fig7", tbl, results, nil)
 	}
 	return tableCells("fig7", rows, cols), render
 }
@@ -598,8 +583,8 @@ func fig8() ([]bench.Cell, renderFn) {
 		rows = append(rows, tableRow{fmt.Sprintf("%d-threads", n),
 			bench.MerkleWorkload(256, n), 0})
 	}
-	render := func(results []bench.CellResult) error {
-		return renderTable("fig8", tbl, results, nil)
+	render := func(w io.Writer, results []bench.CellResult) error {
+		return renderTable(w, "fig8", tbl, results, nil)
 	}
 	return tableCells("fig8", rows, cols), render
 }
@@ -624,14 +609,14 @@ func throughput() ([]bench.Cell, renderFn) {
 		{"ldap-hit", bench.LDAPWorkload(ldapQueries, 0), ldapQueries},
 		{"ldap-miss", bench.LDAPWorkload(ldapQueries, 100), ldapQueries},
 	}
-	render := func(results []bench.CellResult) error {
-		err := renderTable("throughput", tbl, results, func(r bench.CellResult) uint64 {
+	render := func(w io.Writer, results []bench.CellResult) error {
+		err := renderTable(w, "throughput", tbl, results, func(r bench.CellResult) uint64 {
 			return bench.ReqsPerSec(r.Cell.Scale, r.M.Wall)
 		})
 		if err != nil {
 			return err
 		}
-		printGeomeans("geomean throughput overheads", tbl)
+		printGeomeans(w, "geomean throughput overheads", tbl)
 		return nil
 	}
 	return tableCells("throughput", rows, cols), render
@@ -654,14 +639,14 @@ func scenarios() ([]bench.Cell, renderFn) {
 			float64(bench.SimClockHz)/1e9), cols, "req/s")
 	tbl.HigherIsBetter = true
 	cells := bench.ScenarioCells("scenarios", specs, cols, &mcfg)
-	render := func(results []bench.CellResult) error {
-		err := renderTable("scenarios", tbl, results, func(r bench.CellResult) uint64 {
+	render := func(w io.Writer, results []bench.CellResult) error {
+		err := renderTable(w, "scenarios", tbl, results, func(r bench.CellResult) uint64 {
 			return bench.ReqsPerSec(r.Cell.Scale, r.M.Wall)
 		})
 		if err != nil {
 			return err
 		}
-		printGeomeans("geomean throughput overheads", tbl)
+		printGeomeans(w, "geomean throughput overheads", tbl)
 		return nil
 	}
 	return cells, render
@@ -675,9 +660,9 @@ func scenarios() ([]bench.Cell, renderFn) {
 // applied to every mechanism) and reports availability, successful
 // throughput, restart counts, recovery latency and gate rejections —
 // every column a simulated quantity, so the table is byte-identical
-// across -parallel, -superblocks and -chain settings and joins the
-// nightly dispatch-mode diffs. The injector seeds derive from -seed, so
-// the figure is one deterministic function of the flag set.
+// across -parallel and -superblocks settings and is pinned by a golden
+// file. The injector seeds derive from -seed, so the figure is one
+// deterministic function of the flag set.
 func faults() ([]bench.Cell, renderFn) {
 	const v = confllvm.VariantMPX // the deployable, verifiable configuration
 	specs := []scenario.Spec{scenario.DefaultKV(shortGrid), scenario.DefaultTLSH(shortGrid)}
@@ -686,9 +671,9 @@ func faults() ([]bench.Cell, renderFn) {
 		rates = []uint64{0, 200, 500}
 	}
 	cells := bench.FaultCells("faults", specs, rates, v, &mcfg, scenarioSeed)
-	render := func(results []bench.CellResult) error {
-		fmt.Printf("Faults: supervised serving under seeded fault injection (%v, seed %d, rates in per-mille)\n", v, scenarioSeed)
-		fmt.Printf("%-22s %7s %9s %11s %9s %12s %12s %7s %6s %6s\n",
+	render := func(w io.Writer, results []bench.CellResult) error {
+		fmt.Fprintf(w, "Faults: supervised serving under seeded fault injection (%v, seed %d, rates in per-mille)\n", v, scenarioSeed)
+		fmt.Fprintf(w, "%-22s %7s %9s %11s %9s %12s %12s %7s %6s %6s\n",
 			"workload/rate", "avail%", "req/s", "served", "restarts",
 			"recov-mean", "recov-max", "gate✗", "shed", "rej")
 		for _, r := range results {
@@ -696,14 +681,14 @@ func faults() ([]bench.Cell, renderFn) {
 				return r.Err
 			}
 			rep := r.M.Serve
-			fmt.Printf("%-22s %6.1f%% %9d %5d/%-5d %9d %12d %12d %7d %6d %6d\n",
+			fmt.Fprintf(w, "%-22s %6.1f%% %9d %5d/%-5d %9d %12d %12d %7d %6d %6d\n",
 				r.Cell.Row, rep.AvailabilityPct(), rep.ServedPerSec(),
 				rep.Served, rep.Total, rep.Restarts,
 				rep.RecoveryMean(), rep.RecoveryMax(),
 				rep.VerifyRejections, rep.Shed, rep.Rejected)
 			record("faults", r.Cell.Row, r.Cell.Variant.String(), r.M)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		return nil
 	}
 	return cells, render
@@ -713,16 +698,17 @@ func faults() ([]bench.Cell, renderFn) {
 // both deployable schemes is verified cold-serial, cold-parallel and
 // verdict-cached, then attacked with the seeded verifymut corpus. The
 // first table is deterministic (counters are pure functions of the bits
-// and -seed, identical under any -parallel/-superblocks/-chain setting);
-// the following lines measure verifier throughput on the host and are
-// marked "(host)" so the nightly byte-diff can strip them. Any mutant the
+// and -seed, identical under any -parallel/-superblocks setting and
+// pinned by a golden file); the following lines measure verifier
+// throughput on the host and are marked "(host)" so the golden
+// comparison can strip them. Any mutant the
 // verifier fails to kill by contract fails the whole figure.
 func verifyFigure() ([]bench.Cell, renderFn) {
 	vs := []confllvm.Variant{confllvm.VariantMPX, confllvm.VariantSeg}
 	cells := bench.VerifyCells("verify", bench.Workloads(shortGrid), vs, scenarioSeed)
-	render := func(results []bench.CellResult) error {
-		fmt.Printf("Verify: load-gate checking of every workload binary (seed %d)\n", scenarioSeed)
-		fmt.Printf("%-16s %8s %7s %6s %8s %10s %9s\n",
+	render := func(w io.Writer, results []bench.CellResult) error {
+		fmt.Fprintf(w, "Verify: load-gate checking of every workload binary (seed %d)\n", scenarioSeed)
+		fmt.Fprintf(w, "%-16s %8s %7s %6s %8s %10s %9s\n",
 			"workload", "variant", "funcs", "stubs", "insts", "code-bytes", "mutants")
 		var surviving int
 		for _, r := range results {
@@ -730,21 +716,21 @@ func verifyFigure() ([]bench.Cell, renderFn) {
 				return r.Err
 			}
 			rep := r.M.Verify
-			fmt.Printf("%-16s %8v %7d %6d %8d %10d %5d/%-3d\n",
+			fmt.Fprintf(w, "%-16s %8v %7d %6d %8d %10d %5d/%-3d\n",
 				r.Cell.Row, r.Cell.Variant, rep.Funcs, rep.Stubs, rep.Insts,
 				rep.CodeBytes, rep.MutantsKilled, rep.MutantsTried)
 			surviving += rep.MutantsTried - rep.MutantsKilled
 			record("verify", r.Cell.Row, r.Cell.Variant.String(), r.M)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		for _, r := range results {
 			rep := r.M.Verify
-			fmt.Printf("%-16s %8v %10.0f funcs/s %12.0f insts/s %6.2fx par %6.1fx cached  (host, %d workers)\n",
+			fmt.Fprintf(w, "%-16s %8v %10.0f funcs/s %12.0f insts/s %6.2fx par %6.1fx cached  (host, %d workers)\n",
 				r.Cell.Row, r.Cell.Variant, rep.FuncsPerSec(), rep.InstsPerSec(),
 				rep.Speedup(), float64(rep.ParallelNS)/float64(max64(rep.CachedNS, 1)),
 				rep.Workers)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		if surviving > 0 {
 			return fmt.Errorf("%d mutant(s) survived the verifier — kill rate below 100%%", surviving)
 		}
@@ -764,15 +750,15 @@ func verifyFigure() ([]bench.Cell, renderFn) {
 // clock folds — aggregate req/s is client requests over the slowest
 // shard, and the min/max columns show routing balance. Every printed
 // value is a simulated quantity: the table is byte-identical across
-// -parallel, -superblocks and -chain settings.
+// -parallel and -superblocks settings and is pinned by a golden file.
 func cluster() ([]bench.Cell, renderFn) {
 	const v = confllvm.VariantMPX // the deployable, verifiable configuration
 	cts := bench.ClusterTraffics(scenario.ClusterGrid(shortGrid, scenarioSeed))
 	cells := bench.ClusterCells("cluster", cts, v, &mcfg)
-	render := func(results []bench.CellResult) error {
-		fmt.Printf("Cluster: sharded confidential KV store, aggregate req/s at a %.1f GHz simulated clock (%v, seed %d)\n",
+	render := func(w io.Writer, results []bench.CellResult) error {
+		fmt.Fprintf(w, "Cluster: sharded confidential KV store, aggregate req/s at a %.1f GHz simulated clock (%v, seed %d)\n",
 			float64(bench.SimClockHz)/1e9, v, scenarioSeed)
-		fmt.Printf("%-18s %3s %6s %10s %13s %23s %7s %7s\n",
+		fmt.Fprintf(w, "%-18s %3s %6s %10s %13s %23s %7s %7s\n",
 			"cluster", "sh", "reqs", "agg-req/s", "shard-reqs", "shard-cycles", "splits", "xscans")
 		idx := 0
 		for _, ct := range cts {
@@ -791,7 +777,7 @@ func cluster() ([]bench.Cell, renderFn) {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-18s %3d %6d %10d %5d/%-7d %11d/%-11d %7d %7d\n",
+			fmt.Fprintf(w, "%-18s %3d %6d %10d %5d/%-7d %11d/%-11d %7d %7d\n",
 				ct.Spec.Name, rep.Shards, rep.ClientRequests, rep.AggReqsPerSec(),
 				rep.MinShardReqs, rep.MaxShardReqs,
 				rep.MinShardCycles, rep.MaxShardCycles,
@@ -807,7 +793,7 @@ func cluster() ([]bench.Cell, renderFn) {
 			m.Stats.Instrs = rep.Instrs
 			record("cluster", ct.Spec.Name, v.String(), m)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		return nil
 	}
 	return cells, render
@@ -817,9 +803,9 @@ func cluster() ([]bench.Cell, renderFn) {
 // store's per-request service times (measured at the trusted recv
 // boundary in simulated cycles) replayed through a deterministic FIFO
 // queue fed by seeded uniform/Poisson/bursty arrival processes at three
-// offered loads. Every column is a simulated quantity — the table joins
-// the nightly byte-diffs across -parallel, -superblocks and -chain —
-// and the arrival streams derive from -seed, so the figure is one
+// offered loads. Every column is a simulated quantity — the table is
+// byte-identical across -parallel and -superblocks and is pinned by a
+// golden file — and the arrival streams derive from -seed, so the figure is one
 // deterministic function of the flag set. The aggregate line merges
 // every row's metric registry commutatively (internal/obs), the same
 // discipline the cluster figure uses for shard clocks.
@@ -827,10 +813,10 @@ func latencyFigure() ([]bench.Cell, renderFn) {
 	const v = confllvm.VariantMPX // the deployable, verifiable configuration
 	sweeps := bench.LatencyGrid(shortGrid, scenarioSeed)
 	cells := bench.LatencyCells("latency", sweeps, v, &mcfg)
-	render := func(results []bench.CellResult) error {
-		fmt.Printf("Latency: open-loop arrivals queueing at the trusted boundary (%v, seed %d, cycles at a %.1f GHz simulated clock)\n",
+	render := func(w io.Writer, results []bench.CellResult) error {
+		fmt.Fprintf(w, "Latency: open-loop arrivals queueing at the trusted boundary (%v, seed %d, cycles at a %.1f GHz simulated clock)\n",
 			v, scenarioSeed, float64(bench.SimClockHz)/1e9)
-		fmt.Printf("%-28s %8s %10s %9s %9s %9s %9s %11s %5s\n",
+		fmt.Fprintf(w, "%-28s %8s %10s %9s %9s %9s %9s %11s %5s\n",
 			"scenario/arrival", "gap", "offer-r/s", "svc-mean", "p50", "p95", "p99", "max", "maxq")
 		agg := obs.NewRegistry()
 		for _, r := range results {
@@ -838,14 +824,14 @@ func latencyFigure() ([]bench.Cell, renderFn) {
 				return r.Err
 			}
 			rep := r.M.Latency
-			fmt.Printf("%-28s %8d %10d %9d %9d %9d %9d %11d %5d\n",
+			fmt.Fprintf(w, "%-28s %8d %10d %9d %9d %9d %9d %11d %5d\n",
 				r.Cell.Row, rep.MeanGap, rep.OfferedRPS, rep.SvcMean,
 				rep.P50, rep.P95, rep.P99, rep.Max, rep.MaxQueue)
 			agg.Merge(rep.Registry)
 			record("latency", r.Cell.Row, r.Cell.Variant.String(), r.M)
 		}
 		lat := agg.Hist("latency")
-		fmt.Printf("aggregate: %d requests, latency p50=%d p99=%d max=%d cycles, %d trusted calls\n\n",
+		fmt.Fprintf(w, "aggregate: %d requests, latency p50=%d p99=%d max=%d cycles, %d trusted calls\n\n",
 			lat.Count, lat.Quantile(50), lat.Quantile(99), lat.Max,
 			agg.CounterValue("trusted-calls"))
 		return nil
@@ -872,13 +858,6 @@ func interp() ([]bench.Cell, renderFn) {
 	stepConf := machine.DefaultConfig()
 	stepConf.Superblocks = false
 	blockConf := machine.DefaultConfig()
-	blockConf.Superblocks = true
-	// -chain=off / -fuse=off / -threaded=on measure the corresponding
-	// dispatch-stack variants; the stepwise lane stays fixed so the
-	// speedup column is always "this stack vs stepping".
-	blockConf.Chain = mcfg.Chain
-	blockConf.Fuse = mcfg.Fuse
-	blockConf.Threaded = mcfg.Threaded
 	wls := bench.Workloads(false)
 	var cells []bench.Cell
 	for _, wl := range wls {
@@ -889,9 +868,9 @@ func interp() ([]bench.Cell, renderFn) {
 				Workload: wl, Variant: v, Conf: &blockConf, Serial: true},
 		)
 	}
-	render := func(results []bench.CellResult) error {
-		fmt.Println("Interpreter dispatch: superblock vs per-instruction stepping (OurMPX)")
-		fmt.Printf("%-16s %12s %12s %9s\n", "workload", "step MIPS", "block MIPS", "speedup")
+	render := func(w io.Writer, results []bench.CellResult) error {
+		fmt.Fprintln(w, "Interpreter dispatch: superblock vs per-instruction stepping (OurMPX)")
+		fmt.Fprintf(w, "%-16s %12s %12s %9s\n", "workload", "step MIPS", "block MIPS", "speedup")
 		var geo float64
 		var n int
 		for i := 0; i+1 < len(results); i += 2 {
@@ -913,18 +892,18 @@ func interp() ([]bench.Cell, renderFn) {
 			// dividing would poison the geomean with +Inf/NaN. Skip
 			// untimed cells instead.
 			if ms.M.MIPS() <= 0 || mb.M.MIPS() <= 0 {
-				fmt.Printf("%-16s %12s %12s %9s\n", name, "-", "-", "untimed")
+				fmt.Fprintf(w, "%-16s %12s %12s %9s\n", name, "-", "-", "untimed")
 				continue
 			}
 			speedup := mb.M.MIPS() / ms.M.MIPS()
-			fmt.Printf("%-16s %12.1f %12.1f %8.2fx\n", name, ms.M.MIPS(), mb.M.MIPS(), speedup)
+			fmt.Fprintf(w, "%-16s %12.1f %12.1f %8.2fx\n", name, ms.M.MIPS(), mb.M.MIPS(), speedup)
 			geo += math.Log(speedup)
 			n++
 		}
 		if n > 0 {
-			fmt.Printf("%-16s %25s %8.2fx\n\n", "geomean", "", math.Exp(geo/float64(n)))
+			fmt.Fprintf(w, "%-16s %25s %8.2fx\n\n", "geomean", "", math.Exp(geo/float64(n)))
 		} else {
-			fmt.Printf("%-16s %25s %9s\n\n", "geomean", "", "untimed")
+			fmt.Fprintf(w, "%-16s %25s %9s\n\n", "geomean", "", "untimed")
 		}
 		return nil
 	}

@@ -204,8 +204,8 @@ func MerkleWorld(fileKB, nThreads int) *confllvm.World {
 // program, including the examples' quickstart handler. short selects
 // reduced inputs (same code paths, fewer iterations) — the differential
 // tests use them even in full mode, since dispatch-mode coverage does not
-// grow with iteration count; the nightly figure-regeneration diff covers
-// the full-scale runs.
+// grow with iteration count; the golden figures (cmd/confbench/testdata)
+// cover the full-scale runs under stepping and superblock dispatch.
 func Workloads(short bool) []Workload {
 	var wls []Workload
 	for _, k := range SPECKernels() {

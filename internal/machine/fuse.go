@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+
 	"confllvm/internal/asm"
 )
 
@@ -570,9 +572,8 @@ func (run *blockRun) splitsFused(nb int) bool {
 }
 
 // The fused execution methods below are the single implementation of
-// each idiom's semantics, shared by the switch cases in execRun and the
-// threaded handlers in dispatch.go. Each replays its constituents in
-// exact program order through the same helpers the singleton paths use,
+// each idiom's semantics, called from the fused switch cases in execRun.
+// Each replays its constituents in exact program order through the same helpers the singleton paths use,
 // so registers, flags, stats, dynamic cycle components and fault
 // payloads are bit-identical to unfused dispatch.
 
@@ -709,6 +710,48 @@ func (t *Thread) fuseChk(fs *fusedInst) (int, *Fault) {
 		return 1, f
 	}
 	return 2, nil
+}
+
+// bndCheck executes a bndcl/bndcu constituent: the exact semantics of
+// the combined bound-check case in execRun's switch, including the
+// FP-masking credit and the masked check's static-cost refund.
+func (t *Thread) bndCheck(ip *asm.Inst) *Fault {
+	t.Stats.BndChecks++
+	masked := false
+	if t.fpCredit > 0 {
+		t.fpCredit--
+		t.Stats.BndMasked++
+		masked = true
+	}
+	var addr uint64
+	switch ip.Op {
+	case asm.OpBndCLMem, asm.OpBndCUMem:
+		// As with lea, the check is on the raw address (no segment).
+		addr = t.ea(&ip.M, false)
+	default:
+		addr = t.Regs[ip.Src]
+	}
+	b := t.Bnd[ip.Bnd]
+	switch ip.Op {
+	case asm.OpBndCLMem, asm.OpBndCLReg:
+		if addr < b.Lo {
+			return &Fault{Kind: FaultBounds, Addr: addr,
+				Msg: fmt.Sprintf("below %s.lower=%#x", ip.Bnd, b.Lo)}
+		}
+	default:
+		if addr > b.Hi {
+			return &Fault{Kind: FaultBounds, Addr: addr,
+				Msg: fmt.Sprintf("above %s.upper=%#x", ip.Bnd, b.Hi)}
+		}
+	}
+	if masked {
+		// The check hid behind FP work: refund the static unit cost
+		// charged by the block's prefix sum. A faulting masked check
+		// never gets here — its cost was never charged (the prefix sum
+		// excludes the faulting slot).
+		t.Stats.Cycles--
+	}
+	return nil
 }
 
 // cmpFlags executes a cmp constituent (register or immediate form).

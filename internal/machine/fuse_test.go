@@ -36,7 +36,6 @@ func fuseParity(t *testing.T, insts []asm.Inst, fuel uint64, setup func(*Thread)
 		confB.Superblocks = true
 		confB.Chain = mode.chain
 		confB.Fuse = mode.fuse
-		confB.Threaded = mode.threaded
 		mB, thB := buildFor(t, confB, insts)
 		if setup != nil {
 			setup(thB)
@@ -398,7 +397,7 @@ func TestFuseMatchIdiom(t *testing.T) {
 }
 
 // TestStepNeverCachesFusedSlots: Step's one-slot builds must never carry
-// a fused program or threaded ops (fuseRun requires two constituents),
+// a fused program (fuseRun requires two constituents),
 // and block dispatch must rebuild them at full length WITH fusion — so a
 // prior Step at a hot PC cannot silently disable fusion there.
 func TestStepNeverCachesFusedSlots(t *testing.T) {
@@ -414,7 +413,6 @@ func TestStepNeverCachesFusedSlots(t *testing.T) {
 	conf.Superblocks = true
 	conf.Chain = true
 	conf.Fuse = true
-	conf.Threaded = true
 	m, th := buildFor(t, conf, insts)
 
 	for i := 0; i < 3; i++ {
@@ -441,10 +439,6 @@ func TestStepNeverCachesFusedSlots(t *testing.T) {
 	}
 	if run.xinsts == nil || len(run.fused) == 0 {
 		t.Fatal("rebuilt run was not fused — a prior Step disabled fusion at a hot PC")
-	}
-	if run.ops == nil || len(run.ops) != len(run.xinsts) {
-		t.Fatalf("rebuilt run has no threaded ops parallel to its slot program: %d ops / %d slots",
-			len(run.ops), len(run.xinsts))
 	}
 	if th.Regs[asm.RAX] != 200 {
 		t.Fatalf("loop computed %d, want 200", th.Regs[asm.RAX])
@@ -505,7 +499,6 @@ func TestHandlerRegistrationInsideFusedIdiom(t *testing.T) {
 		confB.Superblocks = true
 		confB.Chain = mode.chain
 		confB.Fuse = mode.fuse
-		confB.Threaded = mode.threaded
 		mB, thB := mk(confB)
 		if f := mB.Run(); f != nil {
 			t.Fatal(f)

@@ -1,9 +1,8 @@
 // Randomized differential fuzzing: seeded, deterministic miniC programs
 // are generated, compiled through the full pipeline, and executed under
 // every dispatch mode (per-instruction stepping, unchained superblocks,
-// chained superblocks, superinstruction fusion, and threaded dispatch —
-// see diffRun and diffModes). The generator leans on
-// control-flow shapes — nested ifs, bounded loops, calls — because block
+// chained superblocks and superinstruction fusion — see diffRun and
+// diffModes). The generator leans on control-flow shapes — nested ifs, bounded loops, calls — because block
 // boundaries and branch edges are exactly where superblock dispatch and
 // direct block chaining can diverge from per-instruction stepping; it
 // also emits occasional unguarded divisions so divide-fault delivery is
@@ -279,14 +278,12 @@ func diffRunCorrupt(t *testing.T, art *confllvm.Artifact, addr uint64) *confllvm
 	mcStep := machine.DefaultConfig()
 	mcStep.Superblocks = false
 	mcStep.Fuse = false
-	mcStep.Threaded = false
 	ref := run(&mcStep)
 	for _, md := range diffModes() {
 		mc := mcStep
 		mc.Superblocks = true
 		mc.Chain = md.chain
 		mc.Fuse = md.fuse
-		mc.Threaded = md.threaded
 		compareResults(t, md.name, ref, run(&mc))
 	}
 	return ref

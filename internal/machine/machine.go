@@ -51,7 +51,7 @@ func (s *Stats) Add(other Stats) {
 
 // Arch returns the architectural subset of s: the counters that must be
 // bit-identical across every dispatch mode (stepping, superblock,
-// chained, fused, threaded). The dispatcher-observability counters
+// chained, fused). The dispatcher-observability counters
 // (FusedSlots, Defuses) are zeroed — a stepping run fuses nothing, so
 // whole-struct equality across modes would be vacuously false.
 func (s Stats) Arch() Stats {
@@ -129,7 +129,9 @@ type Config struct {
 	// trace and outside the trusted-handler range, so hot loops execute
 	// run-to-run without returning through the dispatcher (see
 	// superblock.go). Only meaningful with Superblocks; bit-identical to
-	// unchained dispatch in every simulated result.
+	// unchained dispatch in every simulated result. Chain and Fuse are
+	// on by default and have no CLI switch: they stay as test knobs for
+	// bisecting a divergence between superblock dispatch and stepping.
 	Chain bool
 
 	// Fuse enables superinstruction fusion at flatten time: buildBlock
@@ -143,15 +145,6 @@ type Config struct {
 	// messages are bit-identical to unfused dispatch. Only meaningful
 	// with Superblocks.
 	Fuse bool
-
-	// Threaded replaces execRun's opcode switch with threaded-code
-	// dispatch: every blockRun slot resolves its handler func once at
-	// flatten time into a parallel ops[] array, and the hot loop is an
-	// indirect call through the per-slot pointer instead of a switch
-	// (see dispatch.go). Composes with Fuse (fused slots get fused
-	// handlers) and is bit-identical to switch dispatch in every
-	// simulated result. Only meaningful with Superblocks.
-	Threaded bool
 }
 
 // DefaultConfig returns the calibrated default cost model.
@@ -509,379 +502,366 @@ chained:
 			nb = rem
 		}
 		k = 0
-		if run.ops != nil && nb == run.n {
-			// Threaded dispatch: the whole block fits the budget, so walk
-			// the flatten-time handler array (see dispatch.go). Budget
-			// bites fall through to the switch walk below — the ops array
-			// parallels the full slot program, not an arbitrary prefix.
-			k, nextPC, fault = t.execThreaded(run)
-			goto charge
-		}
-		{
-			// Switch dispatch. xs is the slot program: the fused program
-			// when the whole block runs (fused slots execute their idiom
-			// with one dispatch), the raw constituent list when a fuel or
-			// quantum bite truncates the block — a bite landing strictly
-			// inside a fused slot de-fuses it (Stats.Defuses) so the
-			// partial execution is constituent-exact. j indexes slots, k
-			// counts constituent instructions; pcs[] and cum[] stay
-			// constituent-indexed throughout.
-			xs := run.insts[:nb]
-			if run.xinsts != nil {
-				if nb == run.n {
-					xs = run.xinsts
-				} else if run.splitsFused(nb) {
-					t.Stats.Defuses++
-				}
+		// xs is the slot program: the fused program when the whole block
+		// runs (fused slots execute their idiom with one dispatch), the
+		// raw constituent list when a fuel or quantum bite truncates the
+		// block — a bite landing strictly inside a fused slot de-fuses it
+		// (Stats.Defuses) so the partial execution is constituent-exact.
+		// j indexes slots, k counts constituent instructions; pcs[] and
+		// cum[] stay constituent-indexed throughout.
+		xs := run.insts[:nb]
+		if run.xinsts != nil {
+			if nb == run.n {
+				xs = run.xinsts
+			} else if run.splitsFused(nb) {
+				t.Stats.Defuses++
 			}
-			j := 0
-		loop:
-			for j < len(xs) {
-				ip := &xs[j]
-				j++
-				k++
-				// Static per-op base costs are precomputed into run.cum (a
-				// prefix sum charged once per block below); the cases only add
-				// the dynamic components — cache-miss penalties and FP-masked
-				// bound checks — that depend on machine state.
+		}
+		j := 0
+	loop:
+		for j < len(xs) {
+			ip := &xs[j]
+			j++
+			k++
+			// Static per-op base costs are precomputed into run.cum (a
+			// prefix sum charged once per block below); the cases only add
+			// the dynamic components — cache-miss penalties and FP-masked
+			// bound checks — that depend on machine state.
+			switch ip.Op {
+			case asm.OpNop:
+			case asm.OpMovRR:
+				t.Regs[ip.Dst] = t.Regs[ip.Src]
+			case asm.OpMovRI:
+				t.Regs[ip.Dst] = uint64(ip.Imm)
+			case asm.OpLea:
+				// lea computes the raw address without the segment base (as x64).
+				t.Regs[ip.Dst] = t.ea(&ip.M, false)
+			case asm.OpLoad:
+				addr := t.ea(&ip.M, true)
+				v, f := t.m.Mem.Read(addr, ip.M.Size)
+				if f != nil {
+					fault = f
+					break loop
+				}
+				t.Regs[ip.Dst] = extend(v, ip.M.Size, ip.M.Signed)
+				t.Stats.Loads++
+				t.Stats.Cycles += t.memCost(addr)
+			case asm.OpStore:
+				addr := t.ea(&ip.M, true)
+				if f := t.m.Mem.Write(addr, ip.M.Size, t.Regs[ip.Src]); f != nil {
+					fault = f
+					break loop
+				}
+				t.Stats.Stores++
+				t.Stats.Cycles += t.memCost(addr)
+			case asm.OpPush:
+				if f := t.Push(t.Regs[ip.Src]); f != nil {
+					fault = f
+					break loop
+				}
+				t.Stats.Stores++
+				t.Stats.Cycles += t.memCost(t.Regs[asm.RSP])
+			case asm.OpPop:
+				v, f := t.Pop()
+				if f != nil {
+					fault = f
+					break loop
+				}
+				t.Regs[ip.Dst] = v
+				t.Stats.Loads++
+				t.Stats.Cycles += t.memCost(t.Regs[asm.RSP] - 8)
+
+			case asm.OpAddRR:
+				t.Regs[ip.Dst] += t.Regs[ip.Src]
+			case asm.OpAddRI:
+				t.Regs[ip.Dst] += uint64(ip.Imm)
+			case asm.OpSubRR:
+				t.Regs[ip.Dst] -= t.Regs[ip.Src]
+			case asm.OpSubRI:
+				t.Regs[ip.Dst] -= uint64(ip.Imm)
+			case asm.OpMulRR:
+				t.Regs[ip.Dst] = uint64(int64(t.Regs[ip.Dst]) * int64(t.Regs[ip.Src]))
+			case asm.OpMulRI:
+				t.Regs[ip.Dst] = uint64(int64(t.Regs[ip.Dst]) * ip.Imm)
+			case asm.OpDivRR:
+				d := int64(t.Regs[ip.Src])
+				n := int64(t.Regs[ip.Dst])
+				if d == 0 || (d == -1 && n == math.MinInt64) {
+					// x64 #DE covers both divide-by-zero and quotient overflow
+					// (INT64_MIN / -1). Go itself defines the overflow case to
+					// wrap, which is what the interpreter used to do — faulting
+					// instead matches the modeled hardware.
+					fault = &Fault{Kind: FaultDivide}
+					break loop
+				}
+				t.Regs[ip.Dst] = uint64(n / d)
+			case asm.OpModRR:
+				d := int64(t.Regs[ip.Src])
+				n := int64(t.Regs[ip.Dst])
+				if d == 0 || (d == -1 && n == math.MinInt64) {
+					fault = &Fault{Kind: FaultDivide}
+					break loop
+				}
+				t.Regs[ip.Dst] = uint64(n % d)
+			case asm.OpAndRR:
+				t.Regs[ip.Dst] &= t.Regs[ip.Src]
+			case asm.OpAndRI:
+				t.Regs[ip.Dst] &= uint64(ip.Imm)
+			case asm.OpOrRR:
+				t.Regs[ip.Dst] |= t.Regs[ip.Src]
+			case asm.OpOrRI:
+				t.Regs[ip.Dst] |= uint64(ip.Imm)
+			case asm.OpXorRR:
+				t.Regs[ip.Dst] ^= t.Regs[ip.Src]
+			case asm.OpXorRI:
+				t.Regs[ip.Dst] ^= uint64(ip.Imm)
+			case asm.OpShlRR:
+				t.Regs[ip.Dst] <<= t.Regs[ip.Src] & 63
+			case asm.OpShlRI:
+				t.Regs[ip.Dst] <<= uint64(ip.Imm) & 63
+			case asm.OpShrRR:
+				t.Regs[ip.Dst] >>= t.Regs[ip.Src] & 63
+			case asm.OpShrRI:
+				t.Regs[ip.Dst] >>= uint64(ip.Imm) & 63
+			case asm.OpSarRR:
+				t.Regs[ip.Dst] = uint64(int64(t.Regs[ip.Dst]) >> (t.Regs[ip.Src] & 63))
+			case asm.OpSarRI:
+				t.Regs[ip.Dst] = uint64(int64(t.Regs[ip.Dst]) >> (uint64(ip.Imm) & 63))
+			case asm.OpNeg:
+				t.Regs[ip.Dst] = -t.Regs[ip.Dst]
+			case asm.OpNot:
+				t.Regs[ip.Dst] = ^t.Regs[ip.Dst]
+
+			case asm.OpCmpRR:
+				t.setCmpFlags(t.Regs[ip.Dst], t.Regs[ip.Src])
+			case asm.OpCmpRI:
+				t.setCmpFlags(t.Regs[ip.Dst], uint64(ip.Imm))
+			case asm.OpCmpMR:
+				addr := t.ea(&ip.M, true)
+				v, f := t.m.Mem.Read(addr, 8)
+				if f != nil {
+					fault = f
+					break loop
+				}
+				t.setCmpFlags(v, t.Regs[ip.Src])
+				t.Stats.Loads++
+				t.Stats.Cycles += t.memCost(addr)
+			case asm.OpTestRR:
+				t.setTestFlags(t.Regs[ip.Dst] & t.Regs[ip.Src])
+			case asm.OpTestRI:
+				t.setTestFlags(t.Regs[ip.Dst] & uint64(ip.Imm))
+			case asm.OpSetCC:
+				if t.condTrue(ip.Cond) {
+					t.Regs[ip.Dst] = 1
+				} else {
+					t.Regs[ip.Dst] = 0
+				}
+
+			case asm.OpJmp:
+				nextPC = uint64(ip.Imm)
+			case asm.OpJcc:
+				if t.condTrue(ip.Cond) {
+					nextPC = uint64(ip.Imm)
+				} else {
+					nextPC = run.pcs[k]
+				}
+			case asm.OpJmpR:
+				nextPC = t.Regs[ip.Src]
+			case asm.OpCall:
+				if f := t.Push(run.pcs[k]); f != nil {
+					fault = f
+					break loop
+				}
+				t.Stats.Cycles += t.memCost(t.Regs[asm.RSP])
+				nextPC = uint64(ip.Imm)
+			case asm.OpICall:
+				if f := t.Push(run.pcs[k]); f != nil {
+					fault = f
+					break loop
+				}
+				t.Stats.Cycles += t.memCost(t.Regs[asm.RSP])
+				nextPC = t.Regs[ip.Src]
+			case asm.OpRet:
+				v, f := t.Pop()
+				if f != nil {
+					fault = f
+					break loop
+				}
+				t.Stats.Cycles += t.memCost(t.Regs[asm.RSP] - 8)
+				nextPC = v
+			case asm.OpTrap:
+				fault = &Fault{Kind: FaultCFI, Msg: "trap"}
+				break loop
+			case asm.OpExit:
+				t.Halted = true
+				t.ExitCode = t.Regs[asm.RetReg]
+				t.PC = run.pcs[k-1]
+				break loop
+
+			case asm.OpBndCLMem, asm.OpBndCUMem, asm.OpBndCLReg, asm.OpBndCUReg:
+				t.Stats.BndChecks++
+				masked := false
+				if t.fpCredit > 0 {
+					t.fpCredit--
+					t.Stats.BndMasked++
+					masked = true
+				}
+				var addr uint64
 				switch ip.Op {
-				case asm.OpNop:
-				case asm.OpMovRR:
-					t.Regs[ip.Dst] = t.Regs[ip.Src]
-				case asm.OpMovRI:
-					t.Regs[ip.Dst] = uint64(ip.Imm)
-				case asm.OpLea:
-					// lea computes the raw address without the segment base (as x64).
-					t.Regs[ip.Dst] = t.ea(&ip.M, false)
-				case asm.OpLoad:
-					addr := t.ea(&ip.M, true)
-					v, f := t.m.Mem.Read(addr, ip.M.Size)
-					if f != nil {
-						fault = f
-						break loop
-					}
-					t.Regs[ip.Dst] = extend(v, ip.M.Size, ip.M.Signed)
-					t.Stats.Loads++
-					t.Stats.Cycles += t.memCost(addr)
-				case asm.OpStore:
-					addr := t.ea(&ip.M, true)
-					if f := t.m.Mem.Write(addr, ip.M.Size, t.Regs[ip.Src]); f != nil {
-						fault = f
-						break loop
-					}
-					t.Stats.Stores++
-					t.Stats.Cycles += t.memCost(addr)
-				case asm.OpPush:
-					if f := t.Push(t.Regs[ip.Src]); f != nil {
-						fault = f
-						break loop
-					}
-					t.Stats.Stores++
-					t.Stats.Cycles += t.memCost(t.Regs[asm.RSP])
-				case asm.OpPop:
-					v, f := t.Pop()
-					if f != nil {
-						fault = f
-						break loop
-					}
-					t.Regs[ip.Dst] = v
-					t.Stats.Loads++
-					t.Stats.Cycles += t.memCost(t.Regs[asm.RSP] - 8)
-
-				case asm.OpAddRR:
-					t.Regs[ip.Dst] += t.Regs[ip.Src]
-				case asm.OpAddRI:
-					t.Regs[ip.Dst] += uint64(ip.Imm)
-				case asm.OpSubRR:
-					t.Regs[ip.Dst] -= t.Regs[ip.Src]
-				case asm.OpSubRI:
-					t.Regs[ip.Dst] -= uint64(ip.Imm)
-				case asm.OpMulRR:
-					t.Regs[ip.Dst] = uint64(int64(t.Regs[ip.Dst]) * int64(t.Regs[ip.Src]))
-				case asm.OpMulRI:
-					t.Regs[ip.Dst] = uint64(int64(t.Regs[ip.Dst]) * ip.Imm)
-				case asm.OpDivRR:
-					d := int64(t.Regs[ip.Src])
-					n := int64(t.Regs[ip.Dst])
-					if d == 0 || (d == -1 && n == math.MinInt64) {
-						// x64 #DE covers both divide-by-zero and quotient overflow
-						// (INT64_MIN / -1). Go itself defines the overflow case to
-						// wrap, which is what the interpreter used to do — faulting
-						// instead matches the modeled hardware.
-						fault = &Fault{Kind: FaultDivide}
-						break loop
-					}
-					t.Regs[ip.Dst] = uint64(n / d)
-				case asm.OpModRR:
-					d := int64(t.Regs[ip.Src])
-					n := int64(t.Regs[ip.Dst])
-					if d == 0 || (d == -1 && n == math.MinInt64) {
-						fault = &Fault{Kind: FaultDivide}
-						break loop
-					}
-					t.Regs[ip.Dst] = uint64(n % d)
-				case asm.OpAndRR:
-					t.Regs[ip.Dst] &= t.Regs[ip.Src]
-				case asm.OpAndRI:
-					t.Regs[ip.Dst] &= uint64(ip.Imm)
-				case asm.OpOrRR:
-					t.Regs[ip.Dst] |= t.Regs[ip.Src]
-				case asm.OpOrRI:
-					t.Regs[ip.Dst] |= uint64(ip.Imm)
-				case asm.OpXorRR:
-					t.Regs[ip.Dst] ^= t.Regs[ip.Src]
-				case asm.OpXorRI:
-					t.Regs[ip.Dst] ^= uint64(ip.Imm)
-				case asm.OpShlRR:
-					t.Regs[ip.Dst] <<= t.Regs[ip.Src] & 63
-				case asm.OpShlRI:
-					t.Regs[ip.Dst] <<= uint64(ip.Imm) & 63
-				case asm.OpShrRR:
-					t.Regs[ip.Dst] >>= t.Regs[ip.Src] & 63
-				case asm.OpShrRI:
-					t.Regs[ip.Dst] >>= uint64(ip.Imm) & 63
-				case asm.OpSarRR:
-					t.Regs[ip.Dst] = uint64(int64(t.Regs[ip.Dst]) >> (t.Regs[ip.Src] & 63))
-				case asm.OpSarRI:
-					t.Regs[ip.Dst] = uint64(int64(t.Regs[ip.Dst]) >> (uint64(ip.Imm) & 63))
-				case asm.OpNeg:
-					t.Regs[ip.Dst] = -t.Regs[ip.Dst]
-				case asm.OpNot:
-					t.Regs[ip.Dst] = ^t.Regs[ip.Dst]
-
-				case asm.OpCmpRR:
-					t.setCmpFlags(t.Regs[ip.Dst], t.Regs[ip.Src])
-				case asm.OpCmpRI:
-					t.setCmpFlags(t.Regs[ip.Dst], uint64(ip.Imm))
-				case asm.OpCmpMR:
-					addr := t.ea(&ip.M, true)
-					v, f := t.m.Mem.Read(addr, 8)
-					if f != nil {
-						fault = f
-						break loop
-					}
-					t.setCmpFlags(v, t.Regs[ip.Src])
-					t.Stats.Loads++
-					t.Stats.Cycles += t.memCost(addr)
-				case asm.OpTestRR:
-					t.setTestFlags(t.Regs[ip.Dst] & t.Regs[ip.Src])
-				case asm.OpTestRI:
-					t.setTestFlags(t.Regs[ip.Dst] & uint64(ip.Imm))
-				case asm.OpSetCC:
-					if t.condTrue(ip.Cond) {
-						t.Regs[ip.Dst] = 1
-					} else {
-						t.Regs[ip.Dst] = 0
-					}
-
-				case asm.OpJmp:
-					nextPC = uint64(ip.Imm)
-				case asm.OpJcc:
-					if t.condTrue(ip.Cond) {
-						nextPC = uint64(ip.Imm)
-					} else {
-						nextPC = run.pcs[k]
-					}
-				case asm.OpJmpR:
-					nextPC = t.Regs[ip.Src]
-				case asm.OpCall:
-					if f := t.Push(run.pcs[k]); f != nil {
-						fault = f
-						break loop
-					}
-					t.Stats.Cycles += t.memCost(t.Regs[asm.RSP])
-					nextPC = uint64(ip.Imm)
-				case asm.OpICall:
-					if f := t.Push(run.pcs[k]); f != nil {
-						fault = f
-						break loop
-					}
-					t.Stats.Cycles += t.memCost(t.Regs[asm.RSP])
-					nextPC = t.Regs[ip.Src]
-				case asm.OpRet:
-					v, f := t.Pop()
-					if f != nil {
-						fault = f
-						break loop
-					}
-					t.Stats.Cycles += t.memCost(t.Regs[asm.RSP] - 8)
-					nextPC = v
-				case asm.OpTrap:
-					fault = &Fault{Kind: FaultCFI, Msg: "trap"}
-					break loop
-				case asm.OpExit:
-					t.Halted = true
-					t.ExitCode = t.Regs[asm.RetReg]
-					t.PC = run.pcs[k-1]
-					break loop
-
-				case asm.OpBndCLMem, asm.OpBndCUMem, asm.OpBndCLReg, asm.OpBndCUReg:
-					t.Stats.BndChecks++
-					masked := false
-					if t.fpCredit > 0 {
-						t.fpCredit--
-						t.Stats.BndMasked++
-						masked = true
-					}
-					var addr uint64
-					switch ip.Op {
-					case asm.OpBndCLMem, asm.OpBndCUMem:
-						// As with lea, the check is on the raw address (no segment).
-						addr = t.ea(&ip.M, false)
-					default:
-						addr = t.Regs[ip.Src]
-					}
-					b := t.Bnd[ip.Bnd]
-					switch ip.Op {
-					case asm.OpBndCLMem, asm.OpBndCLReg:
-						if addr < b.Lo {
-							fault = &Fault{Kind: FaultBounds, Addr: addr,
-								Msg: fmt.Sprintf("below %s.lower=%#x", ip.Bnd, b.Lo)}
-							break loop
-						}
-					default:
-						if addr > b.Hi {
-							fault = &Fault{Kind: FaultBounds, Addr: addr,
-								Msg: fmt.Sprintf("above %s.upper=%#x", ip.Bnd, b.Hi)}
-							break loop
-						}
-					}
-					if masked {
-						// The check hid behind FP work: refund the static unit
-						// cost charged by the block's prefix sum. A faulting
-						// masked check never gets here — its cost was never
-						// charged (the prefix sum excludes the faulting slot).
-						t.Stats.Cycles--
-					}
-
-				case asm.OpChkSP:
-					sp := t.Regs[asm.RSP]
-					if sp < t.StackLo || sp > t.StackHi {
-						fault = &Fault{Kind: FaultStack, Addr: sp,
-							Msg: fmt.Sprintf("rsp outside [%#x,%#x]", t.StackLo, t.StackHi)}
-						break loop
-					}
-
-				case asm.OpFLoad:
-					addr := t.ea(&ip.M, true)
-					v, f := t.m.Mem.Read(addr, 8)
-					if f != nil {
-						fault = f
-						break loop
-					}
-					t.FRegs[ip.FDst] = math.Float64frombits(v)
-					t.Stats.Loads++
-					t.Stats.Cycles += t.memCost(addr)
-					t.grantFPCredit()
-				case asm.OpFStore:
-					addr := t.ea(&ip.M, true)
-					if f := t.m.Mem.Write(addr, 8, math.Float64bits(t.FRegs[ip.FSrc])); f != nil {
-						fault = f
-						break loop
-					}
-					t.Stats.Stores++
-					t.Stats.Cycles += t.memCost(addr)
-					t.grantFPCredit()
-				case asm.OpFMovRR:
-					t.FRegs[ip.FDst] = t.FRegs[ip.FSrc]
-				case asm.OpFMovI:
-					t.FRegs[ip.FDst] = math.Float64frombits(uint64(ip.Imm))
-				case asm.OpFAdd:
-					t.FRegs[ip.FDst] += t.FRegs[ip.FSrc]
-					t.grantFPCredit()
-				case asm.OpFSub:
-					t.FRegs[ip.FDst] -= t.FRegs[ip.FSrc]
-					t.grantFPCredit()
-				case asm.OpFMul:
-					t.FRegs[ip.FDst] *= t.FRegs[ip.FSrc]
-					t.grantFPCredit()
-				case asm.OpFDiv:
-					t.FRegs[ip.FDst] /= t.FRegs[ip.FSrc]
-					t.grantFPCredit()
-				case asm.OpFMax:
-					if t.FRegs[ip.FSrc] > t.FRegs[ip.FDst] {
-						t.FRegs[ip.FDst] = t.FRegs[ip.FSrc]
-					}
-					t.grantFPCredit()
-				case asm.OpFCmp:
-					a, b := t.FRegs[ip.FDst], t.FRegs[ip.FSrc]
-					if math.IsNaN(a) || math.IsNaN(b) {
-						t.ZF, t.CF = true, true // x64 unordered result
-					} else {
-						t.ZF = a == b
-						t.CF = a < b
-					}
-					t.SF, t.OF = false, false
-					t.grantFPCredit()
-				case asm.OpCvtIF:
-					t.FRegs[ip.FDst] = float64(int64(t.Regs[ip.Src]))
-				case asm.OpCvtFI:
-					t.Regs[ip.Dst] = uint64(int64(t.FRegs[ip.FSrc]))
-				case asm.OpMovQIF:
-					t.FRegs[ip.FDst] = math.Float64frombits(t.Regs[ip.Src])
-				case asm.OpMovQFI:
-					t.Regs[ip.Dst] = math.Float64bits(t.FRegs[ip.FSrc])
-
-				case asm.OpWrFS:
-					t.FS = t.Regs[ip.Src]
-				case asm.OpWrGS:
-					t.GS = t.Regs[ip.Src]
-				case asm.OpSyscall:
-					fault = &Fault{Kind: FaultPerm, Msg: "syscall from untrusted code"}
-					break loop
-
-				case opFuseAluCmpJcc:
-					// Fused idioms (see fuse.go): one dispatch executes the
-					// whole constituent sequence. k advances by the constituent
-					// count so the cum[]/pcs[] contracts below keep holding; an
-					// interior fault advances k only past the clean constituents
-					// plus the faulting one, exactly as the unfused walk would.
-					fs := &run.fused[ip.Imm]
-					nextPC = t.fuseAluCmpJcc(fs)
-					t.Stats.FusedSlots++
-					k += len(fs.insts) - 1
-				case opFuseAluPack:
-					fs := &run.fused[ip.Imm]
-					t.packExec(fs.uops)
-					t.Stats.FusedSlots++
-					k += len(fs.insts) - 1
-				case opFuseCmpJcc:
-					fs := &run.fused[ip.Imm]
-					nextPC = t.fuseCmpJcc(fs)
-					t.Stats.FusedSlots++
-					k++
-				case opFuseLoadOpStore:
-					fs := &run.fused[ip.Imm]
-					nc, f := t.fuseLoadOpStore(fs)
-					if f != nil {
-						t.Stats.Defuses++
-						k += nc
-						fault = f
-						break loop
-					}
-					t.Stats.FusedSlots++
-					k += 2
-				case opFuseChkLoad, opFuseChkStore:
-					fs := &run.fused[ip.Imm]
-					nc, f := t.fuseChk(fs)
-					if f != nil {
-						t.Stats.Defuses++
-						k += nc
-						fault = f
-						break loop
-					}
-					t.Stats.FusedSlots++
-					k++
-
+				case asm.OpBndCLMem, asm.OpBndCUMem:
+					// As with lea, the check is on the raw address (no segment).
+					addr = t.ea(&ip.M, false)
 				default:
-					fault = &Fault{Kind: FaultDecode, Msg: "unimplemented opcode " + ip.Op.String()}
+					addr = t.Regs[ip.Src]
+				}
+				b := t.Bnd[ip.Bnd]
+				switch ip.Op {
+				case asm.OpBndCLMem, asm.OpBndCLReg:
+					if addr < b.Lo {
+						fault = &Fault{Kind: FaultBounds, Addr: addr,
+							Msg: fmt.Sprintf("below %s.lower=%#x", ip.Bnd, b.Lo)}
+						break loop
+					}
+				default:
+					if addr > b.Hi {
+						fault = &Fault{Kind: FaultBounds, Addr: addr,
+							Msg: fmt.Sprintf("above %s.upper=%#x", ip.Bnd, b.Hi)}
+						break loop
+					}
+				}
+				if masked {
+					// The check hid behind FP work: refund the static unit
+					// cost charged by the block's prefix sum. A faulting
+					// masked check never gets here — its cost was never
+					// charged (the prefix sum excludes the faulting slot).
+					t.Stats.Cycles--
+				}
+
+			case asm.OpChkSP:
+				sp := t.Regs[asm.RSP]
+				if sp < t.StackLo || sp > t.StackHi {
+					fault = &Fault{Kind: FaultStack, Addr: sp,
+						Msg: fmt.Sprintf("rsp outside [%#x,%#x]", t.StackLo, t.StackHi)}
 					break loop
 				}
 
+			case asm.OpFLoad:
+				addr := t.ea(&ip.M, true)
+				v, f := t.m.Mem.Read(addr, 8)
+				if f != nil {
+					fault = f
+					break loop
+				}
+				t.FRegs[ip.FDst] = math.Float64frombits(v)
+				t.Stats.Loads++
+				t.Stats.Cycles += t.memCost(addr)
+				t.grantFPCredit()
+			case asm.OpFStore:
+				addr := t.ea(&ip.M, true)
+				if f := t.m.Mem.Write(addr, 8, math.Float64bits(t.FRegs[ip.FSrc])); f != nil {
+					fault = f
+					break loop
+				}
+				t.Stats.Stores++
+				t.Stats.Cycles += t.memCost(addr)
+				t.grantFPCredit()
+			case asm.OpFMovRR:
+				t.FRegs[ip.FDst] = t.FRegs[ip.FSrc]
+			case asm.OpFMovI:
+				t.FRegs[ip.FDst] = math.Float64frombits(uint64(ip.Imm))
+			case asm.OpFAdd:
+				t.FRegs[ip.FDst] += t.FRegs[ip.FSrc]
+				t.grantFPCredit()
+			case asm.OpFSub:
+				t.FRegs[ip.FDst] -= t.FRegs[ip.FSrc]
+				t.grantFPCredit()
+			case asm.OpFMul:
+				t.FRegs[ip.FDst] *= t.FRegs[ip.FSrc]
+				t.grantFPCredit()
+			case asm.OpFDiv:
+				t.FRegs[ip.FDst] /= t.FRegs[ip.FSrc]
+				t.grantFPCredit()
+			case asm.OpFMax:
+				if t.FRegs[ip.FSrc] > t.FRegs[ip.FDst] {
+					t.FRegs[ip.FDst] = t.FRegs[ip.FSrc]
+				}
+				t.grantFPCredit()
+			case asm.OpFCmp:
+				a, b := t.FRegs[ip.FDst], t.FRegs[ip.FSrc]
+				if math.IsNaN(a) || math.IsNaN(b) {
+					t.ZF, t.CF = true, true // x64 unordered result
+				} else {
+					t.ZF = a == b
+					t.CF = a < b
+				}
+				t.SF, t.OF = false, false
+				t.grantFPCredit()
+			case asm.OpCvtIF:
+				t.FRegs[ip.FDst] = float64(int64(t.Regs[ip.Src]))
+			case asm.OpCvtFI:
+				t.Regs[ip.Dst] = uint64(int64(t.FRegs[ip.FSrc]))
+			case asm.OpMovQIF:
+				t.FRegs[ip.FDst] = math.Float64frombits(t.Regs[ip.Src])
+			case asm.OpMovQFI:
+				t.Regs[ip.Dst] = math.Float64bits(t.FRegs[ip.FSrc])
+
+			case asm.OpWrFS:
+				t.FS = t.Regs[ip.Src]
+			case asm.OpWrGS:
+				t.GS = t.Regs[ip.Src]
+			case asm.OpSyscall:
+				fault = &Fault{Kind: FaultPerm, Msg: "syscall from untrusted code"}
+				break loop
+
+			case opFuseAluCmpJcc:
+				// Fused idioms (see fuse.go): one dispatch executes the
+				// whole constituent sequence. k advances by the constituent
+				// count so the cum[]/pcs[] contracts below keep holding; an
+				// interior fault advances k only past the clean constituents
+				// plus the faulting one, exactly as the unfused walk would.
+				fs := &run.fused[ip.Imm]
+				nextPC = t.fuseAluCmpJcc(fs)
+				t.Stats.FusedSlots++
+				k += len(fs.insts) - 1
+			case opFuseAluPack:
+				fs := &run.fused[ip.Imm]
+				t.packExec(fs.uops)
+				t.Stats.FusedSlots++
+				k += len(fs.insts) - 1
+			case opFuseCmpJcc:
+				fs := &run.fused[ip.Imm]
+				nextPC = t.fuseCmpJcc(fs)
+				t.Stats.FusedSlots++
+				k++
+			case opFuseLoadOpStore:
+				fs := &run.fused[ip.Imm]
+				nc, f := t.fuseLoadOpStore(fs)
+				if f != nil {
+					t.Stats.Defuses++
+					k += nc
+					fault = f
+					break loop
+				}
+				t.Stats.FusedSlots++
+				k += 2
+			case opFuseChkLoad, opFuseChkStore:
+				fs := &run.fused[ip.Imm]
+				nc, f := t.fuseChk(fs)
+				if f != nil {
+					t.Stats.Defuses++
+					k += nc
+					fault = f
+					break loop
+				}
+				t.Stats.FusedSlots++
+				k++
+
+			default:
+				fault = &Fault{Kind: FaultDecode, Msg: "unimplemented opcode " + ip.Op.String()}
+				break loop
 			}
 		}
 
-	charge:
 		done += k
 		if fault != nil {
 			// Charge the static costs of the slots before the faulting one:

@@ -51,13 +51,11 @@ var profModes = []struct {
 	superblocks bool
 	chain       bool
 	fuse        bool
-	threaded    bool
 }{
-	{"stepwise", false, false, false, false},
-	{"superblock", true, false, false, false},
-	{"chained", true, true, false, false},
-	{"fused", true, true, true, false},
-	{"threaded", true, true, true, true},
+	{"stepwise", false, false, false},
+	{"superblock", true, false, false},
+	{"chained", true, true, false},
+	{"fused", true, true, true},
 }
 
 // TestProfileConservation: with profiling on, the attributed cycle and
@@ -76,7 +74,6 @@ func TestProfileConservation(t *testing.T) {
 				conf.Superblocks = mode.superblocks
 				conf.Chain = mode.chain
 				conf.Fuse = mode.fuse
-				conf.Threaded = mode.threaded
 				conf.Profile = true
 				var tail []asm.Inst
 				if faulting {
@@ -120,7 +117,6 @@ func TestProfileStatsUnchanged(t *testing.T) {
 				conf.Superblocks = mode.superblocks
 				conf.Chain = mode.chain
 				conf.Fuse = mode.fuse
-				conf.Threaded = mode.threaded
 				conf.Profile = profile
 				m, th := profLoopMachine(t, conf, 50, nil)
 				if f := m.Run(); f != nil {
@@ -151,7 +147,6 @@ func TestProfileHandlerAttribution(t *testing.T) {
 			conf.Superblocks = mode.superblocks
 			conf.Chain = mode.chain
 			conf.Fuse = mode.fuse
-			conf.Threaded = mode.threaded
 			conf.Profile = true
 			m := New(conf)
 			const hnd = uint64(0x9000)
@@ -205,9 +200,9 @@ func TestProfileHandlerAttribution(t *testing.T) {
 // profiling off performs zero allocations. This is the acceptance bar for
 // shipping the hooks inside the hot dispatch loop.
 func TestRunProfileDisabledZeroAlloc(t *testing.T) {
-	// The fused slot program and threaded op table are built once at
-	// flatten time, so the re-run path must stay allocation-free in every
-	// dispatch mode, fused and threaded included.
+	// The fused slot program is built once at flatten time, so the re-run
+	// path must stay allocation-free in every dispatch mode, fused
+	// included.
 	for _, mode := range profModes {
 		if !mode.superblocks {
 			continue // stepping re-dispatches per instruction; not the pinned path
@@ -217,7 +212,6 @@ func TestRunProfileDisabledZeroAlloc(t *testing.T) {
 			conf.Superblocks = mode.superblocks
 			conf.Chain = mode.chain
 			conf.Fuse = mode.fuse
-			conf.Threaded = mode.threaded
 			m, th := profLoopMachine(t, conf, 200, nil)
 			reset := func() {
 				th.Halted = false

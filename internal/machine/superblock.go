@@ -106,11 +106,6 @@ type blockRun struct {
 	// fault PCs and cycle charges are computed identically either way.
 	xinsts []asm.Inst
 	fused  []fusedInst
-
-	// Threaded dispatch (Conf.Threaded, see dispatch.go): per-slot
-	// handler funcs resolved at flatten time, parallel to xinsts when
-	// fusion produced one and to insts otherwise; nil when off.
-	ops []opFunc
 }
 
 // buildBlock decodes straight-line instructions from off up to and
@@ -180,18 +175,13 @@ func (tr *codeTrace) buildBlock(m *Machine, off uint64, limit int) (*blockRun, *
 	if term == asm.OpJmp || term == asm.OpJcc {
 		run.takenPC = uint64(run.insts[n-1].Imm)
 	}
-	// The slot-program passes run after the constituent arrays and the
-	// terminator metadata are final: fusion rewrites only the program
-	// the dispatch loop walks, and threading resolves handlers for
-	// whichever program that is. Step's one-slot builds (limit 1) never
-	// fuse — fuseRun needs at least two constituents — so a prior Step
-	// at a hot PC cannot change the fusion of the full-length run block
-	// dispatch rebuilds.
+	// Fusion runs after the constituent arrays and the terminator
+	// metadata are final: it rewrites only the program the dispatch loop
+	// walks. Step's one-slot builds (limit 1) never fuse — fuseRun needs
+	// at least two constituents — so a prior Step at a hot PC cannot
+	// change the fusion of the full-length run block dispatch rebuilds.
 	if m.Conf.Fuse {
 		fuseRun(run)
-	}
-	if m.Conf.Threaded {
-		threadRun(run)
 	}
 	tr.blocks[off] = uint16(n)
 	tr.runs[off] = run
