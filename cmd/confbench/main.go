@@ -5,8 +5,7 @@
 //
 //	confbench [-figure all|5|6|7|8|ldap|throughput|scenarios|faults|verify|cluster|latency|interp]
 //	          [-superblocks=true|false] [-parallel N]
-//	          [-seed N] [-short] [-list]
-//	          [-json] [-out BENCH_interp.json] [-profile FILE]
+//	          [-seed N] [-short] [-list] [-profile FILE]
 //
 // Figures register in one place (figureRegistry); the -figure usage
 // string and the -list output derive from it, so the line above and the
@@ -70,9 +69,9 @@
 // serial lane that runs after the pool drains, so MIPS numbers always
 // come from a quiet host.
 //
-// With -json, every measurement (simulated wall cycles, instruction count,
-// host run time, interpreter MIPS) is also written to a JSON file so later
-// changes have a perf trajectory to compare against.
+// confbench prints tables and keeps no performance record: the repo's
+// performance trajectory is perfbench (see perfbench/README.md and
+// BENCHMARK.json), measured as same-host parent-vs-change runs.
 //
 // -superblocks=false replays everything with per-instruction stepping,
 // the oracle the superblock dispatcher must match. Every figure except
@@ -85,15 +84,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"runtime"
-	"sync"
-	"time"
 
 	"confllvm"
 	"confllvm/internal/bench"
@@ -102,108 +98,7 @@ import (
 	"confllvm/internal/scenario"
 )
 
-// benchRow is one (figure, workload, variant) measurement in the JSON
-// report. Variant is a confllvm configuration name, or a dispatch mode
-// ("superblock"/"stepwise") for the interp figure. host_ns/mips are only
-// quiet-host measurements for interp rows (their cells run in the serial
-// lane); figure-table rows run concurrently when parallel > 1, so their
-// host times are contended — compare them across reports only at equal
-// "parallel" settings, or rely on the interp rows for the trajectory.
-type benchRow struct {
-	Figure     string  `json:"figure"`
-	Workload   string  `json:"workload"`
-	Variant    string  `json:"variant"`
-	WallCycles uint64  `json:"wall_cycles"`
-	Instrs     uint64  `json:"instrs"`
-	HostNS     int64   `json:"host_ns"`
-	MIPS       float64 `json:"mips"`
-	// FusedSlots counts fused superinstruction slots executed (an
-	// observability counter: zero under -superblocks=false, excluded
-	// from the cross-mode determinism compares).
-	FusedSlots uint64 `json:"fused_slots,omitempty"`
-
-	// Availability columns, set only for supervised (faults-figure) rows.
-	// All simulated quantities; recovery latencies are simulated cycles.
-	TotalReqs          int     `json:"total_reqs,omitempty"`
-	Served             int     `json:"served,omitempty"`
-	AvailPct           float64 `json:"avail_pct,omitempty"`
-	ServedPerSec       uint64  `json:"served_per_sec,omitempty"`
-	Restarts           int     `json:"restarts,omitempty"`
-	RecoveryMeanCycles uint64  `json:"recovery_mean_cycles,omitempty"`
-	RecoveryMaxCycles  uint64  `json:"recovery_max_cycles,omitempty"`
-	VerifyRejections   int     `json:"verify_rejections,omitempty"`
-	Shed               int     `json:"shed,omitempty"`
-	Rejected           int     `json:"rejected,omitempty"`
-
-	// Verify columns, set only for verify-figure rows. The counters are
-	// deterministic; the *_ns and per-sec fields are host time (cells run
-	// in the serial lane, so they are quiet-host measurements).
-	VerifyFuncs       int     `json:"verify_funcs,omitempty"`
-	VerifyStubs       int     `json:"verify_stubs,omitempty"`
-	VerifyInsts       int     `json:"verify_insts,omitempty"`
-	CodeBytes         int     `json:"code_bytes,omitempty"`
-	VerifyWorkers     int     `json:"verify_workers,omitempty"`
-	VerifySerialNS    int64   `json:"verify_serial_ns,omitempty"`
-	VerifyParallelNS  int64   `json:"verify_parallel_ns,omitempty"`
-	VerifyCachedNS    int64   `json:"verify_cached_ns,omitempty"`
-	VerifyFuncsPerSec float64 `json:"verify_funcs_per_sec,omitempty"`
-	VerifyInstsPerSec float64 `json:"verify_insts_per_sec,omitempty"`
-	MutantsTried      int     `json:"mutants_tried,omitempty"`
-	MutantsKilled     int     `json:"mutants_killed,omitempty"`
-
-	// Cluster columns, set only for cluster-figure rows. Each such row is
-	// one whole cluster (shard measurements merged by commutative clock
-	// folds); wall_cycles is the cluster wall clock (slowest shard) and
-	// instrs the cross-shard sum. All simulated quantities.
-	Shards         int    `json:"shards,omitempty"`
-	ClientReqs     int    `json:"client_reqs,omitempty"`
-	AggReqsPerSec  uint64 `json:"agg_reqs_per_sec,omitempty"`
-	ShardReqMin    int    `json:"shard_req_min,omitempty"`
-	ShardReqMax    int    `json:"shard_req_max,omitempty"`
-	ShardCyclesMin uint64 `json:"shard_cycles_min,omitempty"`
-	ShardCyclesMax uint64 `json:"shard_cycles_max,omitempty"`
-	ScanSplits     int    `json:"scan_splits,omitempty"`
-	CrossScans     int    `json:"cross_scans,omitempty"`
-
-	// Latency columns, set only for latency-figure rows: the open-loop
-	// queueing report of internal/bench.RunLatency. All simulated
-	// quantities in cycles at bench.SimClockHz.
-	ArrivalKind   string `json:"arrival_kind,omitempty"`
-	MeanGapCycles uint64 `json:"mean_gap_cycles,omitempty"`
-	OfferedRPS    uint64 `json:"offered_rps,omitempty"`
-	SvcMeanCycles uint64 `json:"svc_mean_cycles,omitempty"`
-	LatP50Cycles  uint64 `json:"latency_p50_cycles,omitempty"`
-	LatP95Cycles  uint64 `json:"latency_p95_cycles,omitempty"`
-	LatP99Cycles  uint64 `json:"latency_p99_cycles,omitempty"`
-	LatMaxCycles  uint64 `json:"latency_max_cycles,omitempty"`
-	MaxQueue      uint64 `json:"max_queue,omitempty"`
-}
-
-// benchReport is the BENCH_interp.json schema.
-type benchReport struct {
-	GeneratedAt string `json:"generated_at"`
-	// FigureFilter records the -figure selection so partial runs are never
-	// mistaken for a full-suite trajectory point.
-	FigureFilter string `json:"figure_filter"`
-	// Superblocks records the dispatch mode of the figure-table runs.
-	Superblocks bool `json:"superblocks"`
-	// Parallel is the worker count the matrix ran with.
-	Parallel    int    `json:"parallel"`
-	TotalInstrs uint64 `json:"total_instrs"`
-	// TotalHostNS sums per-cell host time. With concurrent cells this is
-	// aggregate CPU time, not elapsed time — dividing instructions by it
-	// would overstate nothing but understate parallel speedup; the honest
-	// throughput denominator is SuiteWallNS.
-	TotalHostNS int64 `json:"total_host_ns"`
-	// SuiteWallNS is the true elapsed time of the whole matrix run.
-	SuiteWallNS int64      `json:"suite_wall_ns"`
-	MIPS        float64    `json:"mips"` // TotalInstrs / SuiteWallNS, in millions/sec
-	Rows        []benchRow `json:"rows"`
-}
-
 var (
-	reportMu sync.Mutex
-	report   *benchReport
 	// mcfg is the machine configuration used for the figure tables,
 	// controlled by -superblocks and -profile.
 	mcfg = machine.DefaultConfig()
@@ -212,75 +107,6 @@ var (
 	scenarioSeed = scenario.DefaultSeed
 	shortGrid    bool
 )
-
-// record adds a measurement to the JSON report (no-op without -json).
-// It is mutex-guarded so figures may record from any goroutine; row
-// order is nevertheless deterministic because renders run sequentially
-// over matrix results that are already in input order.
-func record(figure, workload, variant string, m *bench.Measurement) {
-	reportMu.Lock()
-	defer reportMu.Unlock()
-	if report == nil {
-		return
-	}
-	report.TotalInstrs += m.Stats.Instrs
-	report.TotalHostNS += m.HostNS
-	row := benchRow{
-		Figure: figure, Workload: workload, Variant: variant,
-		WallCycles: m.Wall, Instrs: m.Stats.Instrs, HostNS: m.HostNS,
-		MIPS: m.MIPS(), FusedSlots: m.Stats.FusedSlots,
-	}
-	if rep := m.Serve; rep != nil {
-		row.TotalReqs = rep.Total
-		row.Served = rep.Served
-		row.AvailPct = rep.AvailabilityPct()
-		row.ServedPerSec = rep.ServedPerSec()
-		row.Restarts = rep.Restarts
-		row.RecoveryMeanCycles = rep.RecoveryMean()
-		row.RecoveryMaxCycles = rep.RecoveryMax()
-		row.VerifyRejections = rep.VerifyRejections
-		row.Shed = rep.Shed
-		row.Rejected = rep.Rejected
-	}
-	if rep := m.Verify; rep != nil {
-		row.VerifyFuncs = rep.Funcs
-		row.VerifyStubs = rep.Stubs
-		row.VerifyInsts = rep.Insts
-		row.CodeBytes = rep.CodeBytes
-		row.VerifyWorkers = rep.Workers
-		row.VerifySerialNS = rep.SerialNS
-		row.VerifyParallelNS = rep.ParallelNS
-		row.VerifyCachedNS = rep.CachedNS
-		row.VerifyFuncsPerSec = rep.FuncsPerSec()
-		row.VerifyInstsPerSec = rep.InstsPerSec()
-		row.MutantsTried = rep.MutantsTried
-		row.MutantsKilled = rep.MutantsKilled
-	}
-	if rep := m.Latency; rep != nil {
-		row.TotalReqs = int(rep.Requests)
-		row.ArrivalKind = rep.Kind
-		row.MeanGapCycles = rep.MeanGap
-		row.OfferedRPS = rep.OfferedRPS
-		row.SvcMeanCycles = rep.SvcMean
-		row.LatP50Cycles = rep.P50
-		row.LatP95Cycles = rep.P95
-		row.LatP99Cycles = rep.P99
-		row.LatMaxCycles = rep.Max
-		row.MaxQueue = rep.MaxQueue
-	}
-	if rep := m.Cluster; rep != nil {
-		row.Shards = rep.Shards
-		row.ClientReqs = rep.ClientRequests
-		row.AggReqsPerSec = rep.AggReqsPerSec()
-		row.ShardReqMin = rep.MinShardReqs
-		row.ShardReqMax = rep.MaxShardReqs
-		row.ShardCyclesMin = rep.MinShardCycles
-		row.ShardCyclesMax = rep.MaxShardCycles
-		row.ScanSplits = rep.ScanSplits
-		row.CrossScans = rep.CrossScans
-	}
-	report.Rows = append(report.Rows, row)
-}
 
 // renderFn consumes a figure's slice of the matrix results (in cell
 // order) and writes its table to w.
@@ -335,8 +161,6 @@ func main() {
 	seed := flag.Uint64("seed", scenario.DefaultSeed, "base seed of the scenario traffic engine")
 	short := flag.Bool("short", false, "shrink the scenarios, faults, verify, cluster and latency grids to a smoke size (Figures 5-8, ldap, throughput and interp stay full size)")
 	list := flag.Bool("list", false, "print known figures and registered workloads, then exit")
-	jsonOut := flag.Bool("json", false, "also write a JSON perf report")
-	outPath := flag.String("out", "BENCH_interp.json", "path of the JSON report (with -json)")
 	profilePath := flag.String("profile", "", "enable cycle profiling and write the merged folded-stack profile of every cell to this file")
 	flag.Parse()
 
@@ -348,19 +172,6 @@ func main() {
 	workers := *parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-
-	if *jsonOut {
-		report = &benchReport{
-			GeneratedAt:  time.Now().UTC().Format(time.RFC3339),
-			FigureFilter: *figure,
-			Superblocks:  *superblocks,
-			Parallel:     workers,
-		}
-		if *figure != "all" && *outPath == "BENCH_interp.json" {
-			fmt.Fprintf(os.Stderr, "confbench: note: partial run (-figure %s) writing the default %s; "+
-				"aggregate MIPS and row counts are not comparable to full-suite reports\n", *figure, *outPath)
-		}
 	}
 
 	if *list {
@@ -382,7 +193,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	results, suiteWall, err := runFigures(os.Stdout, selected, workers)
+	results, err := runFigures(os.Stdout, selected, workers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "confbench: %v\n", err)
 		os.Exit(1)
@@ -409,31 +220,12 @@ func main() {
 			*profilePath, len(merged.Top()), cellsProfiled, merged.TotalCycles())
 	}
 
-	if report != nil {
-		report.SuiteWallNS = suiteWall.Nanoseconds()
-		if report.SuiteWallNS > 0 {
-			report.MIPS = float64(report.TotalInstrs) / 1e6 / (float64(report.SuiteWallNS) / 1e9)
-		}
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "confbench: marshal report: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*outPath, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "confbench: write report: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d rows, %d workers, suite throughput %.1f MIPS)\n",
-			*outPath, len(report.Rows), workers, report.MIPS)
-	}
 }
 
 // runFigures builds the combined cell matrix for the selected figures,
 // runs it on workers goroutines, and renders each figure to w in
-// selection order. It returns the matrix results and the matrix's wall
-// time.
-func runFigures(w io.Writer, selected []figureSpec, workers int) ([]bench.CellResult, time.Duration, error) {
+// selection order. It returns the matrix results.
+func runFigures(w io.Writer, selected []figureSpec, workers int) ([]bench.CellResult, error) {
 	var cells []bench.Cell
 	type pending struct {
 		name   string
@@ -447,16 +239,14 @@ func runFigures(w io.Writer, selected []figureSpec, workers int) ([]bench.CellRe
 		cells = append(cells, cs...)
 	}
 
-	start := time.Now()
 	results := bench.RunMatrix(cells, workers)
-	wall := time.Since(start)
 
 	for _, p := range pend {
 		if err := p.render(w, results[p.lo:p.hi]); err != nil {
-			return nil, 0, fmt.Errorf("figure %s: %w", p.name, err)
+			return nil, fmt.Errorf("figure %s: %w", p.name, err)
 		}
 	}
-	return results, wall, nil
+	return results, nil
 }
 
 // tableRow is one figure-table row: its name, workload, and the Wall
@@ -481,10 +271,10 @@ func tableCells(figure string, rows []tableRow, cols []confllvm.Variant) []bench
 	return cells
 }
 
-// renderTable fills tbl from results and records the JSON rows. value
-// converts a measurement into the table cell; nil selects the default
-// (Wall, divided by the cell's Scale).
-func renderTable(w io.Writer, figure string, tbl *bench.Table, results []bench.CellResult,
+// renderTable fills tbl from results. value converts a measurement into
+// the table cell; nil selects the default (Wall, divided by the cell's
+// Scale).
+func renderTable(w io.Writer, tbl *bench.Table, results []bench.CellResult,
 	value func(bench.CellResult) uint64) error {
 	if value == nil {
 		value = func(r bench.CellResult) uint64 {
@@ -500,7 +290,6 @@ func renderTable(w io.Writer, figure string, tbl *bench.Table, results []bench.C
 			return r.Err
 		}
 		tbl.Set(r.Cell.Row, r.Cell.Variant, value(r))
-		record(figure, r.Cell.Row, r.Cell.Variant.String(), r.M)
 	}
 	fmt.Fprintln(w, tbl)
 	return nil
@@ -524,7 +313,7 @@ func fig5() ([]bench.Cell, renderFn) {
 		rows = append(rows, tableRow{k.Name, bench.SPECWorkload(k, k.Params), 0})
 	}
 	render := func(w io.Writer, results []bench.CellResult) error {
-		if err := renderTable(w, "fig5", tbl, results, nil); err != nil {
+		if err := renderTable(w, tbl, results, nil); err != nil {
 			return err
 		}
 		printGeomeans(w, "geomean overheads", tbl)
@@ -544,7 +333,7 @@ func fig6() ([]bench.Cell, renderFn) {
 			bench.WebWorkload(reqs, kb*1024), reqs})
 	}
 	render := func(w io.Writer, results []bench.CellResult) error {
-		return renderTable(w, "fig6", tbl, results, nil)
+		return renderTable(w, tbl, results, nil)
 	}
 	return tableCells("fig6", rows, cols), render
 }
@@ -558,7 +347,7 @@ func ldap() ([]bench.Cell, renderFn) {
 		{"query-hit", bench.LDAPWorkload(queries, 0), queries},
 	}
 	render := func(w io.Writer, results []bench.CellResult) error {
-		return renderTable(w, "ldap", tbl, results, nil)
+		return renderTable(w, tbl, results, nil)
 	}
 	return tableCells("ldap", rows, cols), render
 }
@@ -570,7 +359,7 @@ func fig7() ([]bench.Cell, renderFn) {
 	const images = 4
 	rows := []tableRow{{"classify", bench.ClassifierWorkload(images), images}}
 	render := func(w io.Writer, results []bench.CellResult) error {
-		return renderTable(w, "fig7", tbl, results, nil)
+		return renderTable(w, tbl, results, nil)
 	}
 	return tableCells("fig7", rows, cols), render
 }
@@ -584,7 +373,7 @@ func fig8() ([]bench.Cell, renderFn) {
 			bench.MerkleWorkload(256, n), 0})
 	}
 	render := func(w io.Writer, results []bench.CellResult) error {
-		return renderTable(w, "fig8", tbl, results, nil)
+		return renderTable(w, tbl, results, nil)
 	}
 	return tableCells("fig8", rows, cols), render
 }
@@ -610,7 +399,7 @@ func throughput() ([]bench.Cell, renderFn) {
 		{"ldap-miss", bench.LDAPWorkload(ldapQueries, 100), ldapQueries},
 	}
 	render := func(w io.Writer, results []bench.CellResult) error {
-		err := renderTable(w, "throughput", tbl, results, func(r bench.CellResult) uint64 {
+		err := renderTable(w, tbl, results, func(r bench.CellResult) uint64 {
 			return bench.ReqsPerSec(r.Cell.Scale, r.M.Wall)
 		})
 		if err != nil {
@@ -640,7 +429,7 @@ func scenarios() ([]bench.Cell, renderFn) {
 	tbl.HigherIsBetter = true
 	cells := bench.ScenarioCells("scenarios", specs, cols, &mcfg)
 	render := func(w io.Writer, results []bench.CellResult) error {
-		err := renderTable(w, "scenarios", tbl, results, func(r bench.CellResult) uint64 {
+		err := renderTable(w, tbl, results, func(r bench.CellResult) uint64 {
 			return bench.ReqsPerSec(r.Cell.Scale, r.M.Wall)
 		})
 		if err != nil {
@@ -686,7 +475,6 @@ func faults() ([]bench.Cell, renderFn) {
 				rep.Served, rep.Total, rep.Restarts,
 				rep.RecoveryMean(), rep.RecoveryMax(),
 				rep.VerifyRejections, rep.Shed, rep.Rejected)
-			record("faults", r.Cell.Row, r.Cell.Variant.String(), r.M)
 		}
 		fmt.Fprintln(w)
 		return nil
@@ -720,7 +508,6 @@ func verifyFigure() ([]bench.Cell, renderFn) {
 				r.Cell.Row, r.Cell.Variant, rep.Funcs, rep.Stubs, rep.Insts,
 				rep.CodeBytes, rep.MutantsKilled, rep.MutantsTried)
 			surviving += rep.MutantsTried - rep.MutantsKilled
-			record("verify", r.Cell.Row, r.Cell.Variant.String(), r.M)
 		}
 		fmt.Fprintln(w)
 		for _, r := range results {
@@ -763,7 +550,6 @@ func cluster() ([]bench.Cell, renderFn) {
 		idx := 0
 		for _, ct := range cts {
 			ms := make([]*bench.Measurement, ct.Spec.Shards)
-			var hostNS int64
 			for sh := range ms {
 				r := results[idx]
 				idx++
@@ -771,7 +557,6 @@ func cluster() ([]bench.Cell, renderFn) {
 					return r.Err
 				}
 				ms[sh] = r.M
-				hostNS += r.M.HostNS
 			}
 			rep, err := bench.MergeShardClocks(ct, ms)
 			if err != nil {
@@ -782,16 +567,6 @@ func cluster() ([]bench.Cell, renderFn) {
 				rep.MinShardReqs, rep.MaxShardReqs,
 				rep.MinShardCycles, rep.MaxShardCycles,
 				rep.ScanSplits, rep.CrossScans)
-			// One JSON row per cluster: wall = merged cluster clock, instrs
-			// = cross-shard sum, host time = summed shard run times.
-			m := &bench.Measurement{
-				Variant: v,
-				Wall:    rep.WallCycles,
-				HostNS:  hostNS,
-				Cluster: rep,
-			}
-			m.Stats.Instrs = rep.Instrs
-			record("cluster", ct.Spec.Name, v.String(), m)
 		}
 		fmt.Fprintln(w)
 		return nil
@@ -828,7 +603,6 @@ func latencyFigure() ([]bench.Cell, renderFn) {
 				r.Cell.Row, rep.MeanGap, rep.OfferedRPS, rep.SvcMean,
 				rep.P50, rep.P95, rep.P99, rep.Max, rep.MaxQueue)
 			agg.Merge(rep.Registry)
-			record("latency", r.Cell.Row, r.Cell.Variant.String(), r.M)
 		}
 		lat := agg.Hist("latency")
 		fmt.Fprintf(w, "aggregate: %d requests, latency p50=%d p99=%d max=%d cycles, %d trusted calls\n\n",
@@ -849,10 +623,9 @@ func max64(a, b int64) int64 {
 // interp sweeps every workload with superblock dispatch on and off under
 // OurMPX: simulated cycles must agree exactly (a runtime re-check of the
 // determinism invariant) and the MIPS ratio is the dispatch speedup.
-// These rows are the BENCH_interp.json trajectory datapoints. The cells
-// are Serial — MIPS is a host-time measurement — so they run one at a
-// time after the parallel lane drains; only their compilation shares the
-// pool.
+// The cells are Serial — MIPS is a host-time measurement — so they run
+// one at a time after the parallel lane drains; only their compilation
+// shares the pool.
 func interp() ([]bench.Cell, renderFn) {
 	const v = confllvm.VariantMPX
 	stepConf := machine.DefaultConfig()
@@ -886,8 +659,6 @@ func interp() ([]bench.Cell, renderFn) {
 				return fmt.Errorf("%s: dispatch modes disagree (stepwise %d cycles, superblock %d cycles)",
 					name, ms.M.Wall, mb.M.Wall)
 			}
-			record("interp", name, "stepwise", ms.M)
-			record("interp", name, "superblock", mb.M)
 			// A sub-clock-resolution run has HostNS == 0 and MIPS == 0;
 			// dividing would poison the geomean with +Inf/NaN. Skip
 			// untimed cells instead.

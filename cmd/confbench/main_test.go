@@ -125,7 +125,7 @@ func TestGoldenFigures(t *testing.T) {
 				t.Fatal(err)
 			}
 			var out bytes.Buffer
-			if _, _, err := runFigures(&out, []figureSpec{f}, runtime.GOMAXPROCS(0)); err != nil {
+			if _, err := runFigures(&out, []figureSpec{f}, runtime.GOMAXPROCS(0)); err != nil {
 				t.Fatal(err)
 			}
 			if got := stripHost(out.String()); got != string(want) {

@@ -32,9 +32,6 @@ type Measurement struct {
 	// Verify is set by verify-figure cells: throughput and mutation-kill
 	// counters for checking this cell's binary.
 	Verify *VerifyReport
-	// Cluster is set by cluster-figure render code after merging the
-	// per-shard measurements of one cluster row.
-	Cluster *ClusterReport
 	// Latency is set by latency-figure cells: the open-loop queueing
 	// report of a traced serving run.
 	Latency *LatencyReport

@@ -12,7 +12,9 @@ import (
 
 // matrixCells builds the short workload x variant matrix the determinism
 // test schedules: every bench workload under the paper's main checked
-// and unchecked configurations, in both dispatch modes.
+// and unchecked configurations, in both dispatch modes. Under OurMPX the
+// superblock run is also repeated as a Serial cell, the shape of the
+// interp figure's cells.
 func matrixCells(t *testing.T) []Cell {
 	t.Helper()
 	variants := []confllvm.Variant{confllvm.VariantBase, confllvm.VariantMPX, confllvm.VariantSeg}
@@ -30,6 +32,10 @@ func matrixCells(t *testing.T) []Cell {
 				Cell{Figure: "matrix", Row: wl.Name, Label: "superblock", Workload: wl, Variant: v, Conf: &block},
 				Cell{Figure: "matrix", Row: wl.Name, Label: "stepwise", Workload: wl, Variant: v, Conf: &step, Serial: true},
 			)
+			if v == confllvm.VariantMPX {
+				cells = append(cells, Cell{Figure: "matrix", Row: wl.Name, Label: "superblock-serial",
+					Workload: wl, Variant: v, Conf: &block, Serial: true})
+			}
 		}
 	}
 	return cells

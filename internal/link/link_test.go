@@ -3,9 +3,11 @@ package link_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"testing"
 
 	"confllvm"
+	"confllvm/internal/codegen"
 	"confllvm/internal/link"
 )
 
@@ -75,29 +77,85 @@ func TestFunctionSymbols(t *testing.T) {
 }
 
 func TestSerializeRoundtrip(t *testing.T) {
-	img := buildImage(t, confllvm.VariantSeg)
-	var buf bytes.Buffer
-	if err := img.Save(&buf); err != nil {
-		t.Fatal(err)
+	for _, v := range []confllvm.Variant{confllvm.VariantMPX, confllvm.VariantSeg} {
+		img := buildImage(t, v)
+		var buf bytes.Buffer
+		if err := img.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := link.Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Code, img.Code) {
+			t.Errorf("%v: code changed across serialization", v)
+		}
+		if got.MCallPrefix != img.MCallPrefix || got.MRetPrefix != img.MRetPrefix {
+			t.Errorf("%v: prefixes changed", v)
+		}
+		if got.Func("main") == nil || got.Func("main").Entry != img.Func("main").Entry {
+			t.Errorf("%v: function symbols changed", v)
+		}
+		if len(got.MagicOffsets()) != len(img.MagicOffsets()) {
+			t.Errorf("%v: magic offsets changed", v)
+		}
+		if got.Config != img.Config || got.Layout != img.Layout || got.Layout != link.LayoutFor(got.Config) {
+			t.Errorf("%v: layout/config changed", v)
+		}
 	}
-	got, err := link.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Code, img.Code) {
-		t.Error("code changed across serialization")
-	}
-	if got.MCallPrefix != img.MCallPrefix || got.MRetPrefix != img.MRetPrefix {
-		t.Error("prefixes changed")
-	}
-	if got.Func("main") == nil || got.Func("main").Entry != img.Func("main").Entry {
-		t.Error("function symbols changed")
-	}
-	if len(got.MagicOffsets()) != len(img.MagicOffsets()) {
-		t.Error("magic offsets changed")
-	}
-	if got.Layout != img.Layout || got.Config != img.Config {
-		t.Error("layout/config changed")
+}
+
+// legacyImageFile is the image encoding that still stored the layout on
+// disk. gob matches fields by name, so it decodes into the current
+// format.
+type legacyImageFile struct {
+	Magic       string
+	Code        []byte
+	Funcs       []link.FuncSym
+	PubData     []byte
+	PrivData    []byte
+	Symbols     map[string]uint64
+	Externals   []string
+	MCallPrefix uint64
+	MRetPrefix  uint64
+	Layout      link.Layout
+	Config      codegen.Config
+	ExitShim    [2]uint64
+	MagicOffs   []int
+}
+
+// TestLoadIgnoresStoredLayout: a legacy image whose stored layout is
+// tampered (no thread stack, a usable size below the stack area) loads
+// with the layout derived from its Config, never the bytes on disk.
+func TestLoadIgnoresStoredLayout(t *testing.T) {
+	for _, v := range []confllvm.Variant{confllvm.VariantMPX, confllvm.VariantSeg} {
+		img := buildImage(t, v)
+		bad := img.Layout
+		bad.ThreadStack = 0
+		bad.UsableSize = 4096
+		f := legacyImageFile{
+			Magic: "CONFLLVM-IMG-1", Code: img.Code, PubData: img.PubData,
+			PrivData: img.PrivData, Symbols: img.Symbols, Externals: img.Externals,
+			MCallPrefix: img.MCallPrefix, MRetPrefix: img.MRetPrefix,
+			Layout: bad, Config: img.Config, ExitShim: img.ExitShim,
+		}
+		for _, fs := range img.Funcs {
+			f.Funcs = append(f.Funcs, *fs)
+		}
+		for off := range img.MagicOffsets() {
+			f.MagicOffs = append(f.MagicOffs, off)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&f); err != nil {
+			t.Fatal(err)
+		}
+		got, err := link.Load(&buf)
+		if err != nil {
+			t.Fatalf("%v: legacy image must still load: %v", v, err)
+		}
+		if got.Layout != link.LayoutFor(got.Config) {
+			t.Errorf("%v: loaded layout %+v, want LayoutFor(Config) %+v", v, got.Layout, link.LayoutFor(got.Config))
+		}
 	}
 }
 

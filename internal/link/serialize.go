@@ -11,6 +11,10 @@ import (
 )
 
 // imageFile is the on-disk representation of an Image (gob-encoded).
+// It carries no Layout: the layout is a pure function of Config
+// (LayoutFor), so Load derives it instead of trusting bytes from disk.
+// gob skips stream fields the struct lacks, so images written with a
+// Layout field still load, and that field is ignored.
 type imageFile struct {
 	Magic       string
 	Code        []byte
@@ -21,7 +25,6 @@ type imageFile struct {
 	Externals   []string
 	MCallPrefix uint64
 	MRetPrefix  uint64
-	Layout      Layout
 	Config      codegen.Config
 	ExitShim    [2]uint64
 	MagicOffs   []int
@@ -40,7 +43,6 @@ func (img *Image) Save(w io.Writer) error {
 		Externals:   img.Externals,
 		MCallPrefix: img.MCallPrefix,
 		MRetPrefix:  img.MRetPrefix,
-		Layout:      img.Layout,
 		Config:      img.Config,
 		ExitShim:    img.ExitShim,
 	}
@@ -70,7 +72,7 @@ func Load(r io.Reader) (*Image, error) {
 		Externals:    f.Externals,
 		MCallPrefix:  f.MCallPrefix,
 		MRetPrefix:   f.MRetPrefix,
-		Layout:       f.Layout,
+		Layout:       LayoutFor(f.Config),
 		Config:       f.Config,
 		ExitShim:     f.ExitShim,
 		byName:       map[string]*FuncSym{},

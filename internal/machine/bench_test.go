@@ -88,10 +88,9 @@ func BenchmarkStepBnd(b *testing.B) {
 // (straight-line ALU blocks broken by a conditional branch), comparing
 // the default dispatch stack (chained superblocks with superinstruction
 // fusion), each layer peeled off in turn, and per-instruction stepping.
-// The "superblock" sub-benchmark is the BENCH_interp.json /
-// BENCH_history.jsonl "BenchmarkRun" datapoint: it must hold a >= 1.5x
-// MIPS advantage over "stepwise". "nofuse" is chained dispatch with
-// fusion off — the superblock-vs-nofuse delta is the fusion win. The
+// It is a local diagnostic; for the repo's perf trajectory see
+// perfbench/README.md and BENCHMARK.json. "nofuse" is chained dispatch
+// with fusion off — the superblock-vs-nofuse delta is the fusion win. The
 // "profiled" lane runs the default stack with cycle-attributed profiling
 // on — its gap to "superblock" is the observability plane's enabled cost
 // (the disabled cost is zero: TestRunProfileDisabledZeroAlloc).
