@@ -387,7 +387,7 @@ type Prepared struct {
 
 // Prepare performs the load phase of Run: allocators, trusted context,
 // machine construction and main-thread creation — without executing.
-// mconf may be nil for the default cost model.
+// mconf may be nil for machine.DefaultConfig.
 func Prepare(art *Artifact, w *World, mconf *machine.Config) (*Prepared, error) {
 	p, err := prepareWith(art, w, mconf)
 	if err != nil {
@@ -419,7 +419,7 @@ func (p *Prepared) Finish() *Result {
 }
 
 // Run loads and executes an artifact against a world. mconf may be nil for
-// the default cost model. A fault is reported in Result.Fault, not as an
+// machine.DefaultConfig. A fault is reported in Result.Fault, not as an
 // error (exploit tests expect faults).
 func Run(art *Artifact, w *World, mconf *machine.Config) (*Result, error) {
 	p, err := Prepare(art, w, mconf)

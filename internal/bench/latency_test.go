@@ -17,43 +17,28 @@ func latArr(seed uint64) scenario.Arrival {
 }
 
 // TestLatencyDispatchInvariance pins the figure's core contract: the
-// latency report is a simulated quantity, so stepwise, unchained,
-// chained and fused dispatch must produce byte-identical reports (architectural stats too; FusedSlots/Defuses are
-// observability counters and may differ, hence Arch()).
+// latency report is a simulated quantity, so stepping and the default
+// superblock dispatch must produce byte-identical reports (architectural
+// stats too; FusedSlots/Defuses are observability counters and may
+// differ, hence Arch()).
 func TestLatencyDispatchInvariance(t *testing.T) {
-	var reports []*LatencyReport
-	var stats []machine.Stats
-	for _, mode := range []struct {
-		name        string
-		superblocks bool
-		chain       bool
-		fuse        bool
-	}{
-		{"stepwise", false, false, false},
-		{"nochain", true, false, false},
-		{"chained", true, true, false},
-		{"fused", true, true, true},
-	} {
-		conf := machine.DefaultConfig()
-		conf.Superblocks = mode.superblocks
-		conf.Chain = mode.chain
-		conf.Fuse = mode.fuse
-		m, err := RunLatency(latSpec(), latArr(7), confllvm.VariantMPX, &conf, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", mode.name, err)
-		}
-		reports = append(reports, m.Latency)
-		stats = append(stats, m.Stats)
+	step := machine.DefaultConfig()
+	step.Superblocks = false
+	ms, err := RunLatency(latSpec(), latArr(7), confllvm.VariantMPX, &step, nil)
+	if err != nil {
+		t.Fatalf("stepwise: %v", err)
 	}
-	for i := 1; i < len(reports); i++ {
-		if !reflect.DeepEqual(reports[0], reports[i]) {
-			t.Errorf("latency report differs across dispatch modes:\n%+v\nvs\n%+v", reports[0], reports[i])
-		}
-		if stats[0].Arch() != stats[i].Arch() {
-			t.Errorf("stats differ across dispatch modes: %+v vs %+v", stats[0], stats[i])
-		}
+	mb, err := RunLatency(latSpec(), latArr(7), confllvm.VariantMPX, nil, nil)
+	if err != nil {
+		t.Fatalf("superblock: %v", err)
 	}
-	r := reports[0]
+	if !reflect.DeepEqual(ms.Latency, mb.Latency) {
+		t.Errorf("latency report differs between stepping and superblocks:\n%+v\nvs\n%+v", ms.Latency, mb.Latency)
+	}
+	if ms.Stats.Arch() != mb.Stats.Arch() {
+		t.Errorf("stats differ between stepping and superblocks: %+v vs %+v", ms.Stats, mb.Stats)
+	}
+	r := ms.Latency
 	if r.Requests == 0 || r.SvcMean == 0 || r.P50 == 0 {
 		t.Fatalf("degenerate report: %+v", r)
 	}

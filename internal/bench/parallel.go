@@ -23,7 +23,7 @@ type Cell struct {
 	Label    string
 	Workload Workload
 	Variant  confllvm.Variant
-	// Conf is the machine configuration (nil = default cost model). It is
+	// Conf is the machine configuration (nil = DefaultConfig). It is
 	// only read by the run, so cells may share one Config.
 	Conf *machine.Config
 	// Scale divides Wall for the table cell (cycles per request/query/

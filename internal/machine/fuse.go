@@ -6,7 +6,7 @@ import (
 	"confllvm/internal/asm"
 )
 
-// Superinstruction fusion (Conf.Fuse): when buildBlock flattens a
+// Superinstruction fusion: when buildBlock flattens a
 // superblock into a blockRun, fuseRun peephole-scans the constituent
 // instruction list for hot multi-instruction idioms and rewrites the
 // run's *slot program* — the sequence the dispatch loop walks — so each
@@ -39,7 +39,7 @@ import (
 //   - A fault on constituent i of a fused slot advances k only past the
 //     i clean constituents plus the faulting one, so the fault's PC
 //     (run.pcs[k-1]), its cycle stamp (cum charges exclude the faulting
-//     slot) and its message are bit-identical to unfused dispatch.
+//     slot) and its message are bit-identical to stepping.
 //
 // Both events bump Stats.Defuses; completed fused slots bump
 // Stats.FusedSlots. Step's one-slot builds (limit 1) never fuse — a run
@@ -575,7 +575,7 @@ func (run *blockRun) splitsFused(nb int) bool {
 // each idiom's semantics, called from the fused switch cases in execRun.
 // Each replays its constituents in exact program order through the same helpers the singleton paths use,
 // so registers, flags, stats, dynamic cycle components and fault
-// payloads are bit-identical to unfused dispatch.
+// payloads are bit-identical to stepping.
 
 // fuseAluCmpJcc executes an ALU-pack + cmp + jcc loop head (variable
 // length: >= 1 packable ops, then the pair). None of the constituents

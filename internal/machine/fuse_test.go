@@ -9,67 +9,11 @@ import (
 
 // White-box tests for superinstruction fusion (fuse.go) and its
 // interaction with fuel bites, faults, Step's short runs, and trusted
-// handler registration. The black-box cross-mode matrix lives in
-// diff_test.go; here we pin the fusion mechanics themselves: which
+// handler registration. The black-box stepping-vs-superblock diff lives
+// in diff_test.go; here we pin the fusion mechanics themselves: which
 // idioms match, what the fused slot program looks like, and that every
-// event landing inside a fused slot de-fuses bit-exactly.
-
-// fuseParity runs insts under per-instruction stepping and every
-// superblock dispatch mode with an optional fuel limit and thread setup
-// hook (for bound registers), and requires identical faults, registers,
-// flags, architectural stats and memory across all modes.
-func fuseParity(t *testing.T, insts []asm.Inst, fuel uint64, setup func(*Thread)) {
-	t.Helper()
-	confA := DefaultConfig()
-	confA.Superblocks = false
-	confA.Fuse = false
-	if fuel > 0 {
-		confA.DefaultFuel = fuel
-	}
-	mA, thA := buildFor(t, confA, insts)
-	if setup != nil {
-		setup(thA)
-	}
-	fA := mA.Run()
-	for _, mode := range parityModes {
-		confB := confA
-		confB.Superblocks = true
-		confB.Chain = mode.chain
-		confB.Fuse = mode.fuse
-		mB, thB := buildFor(t, confB, insts)
-		if setup != nil {
-			setup(thB)
-		}
-		fB := mB.Run()
-		if (fA == nil) != (fB == nil) {
-			t.Fatalf("[%s fuel=%d] fault mismatch: stepwise=%v superblock=%v", mode.name, fuel, fA, fB)
-		}
-		if fA != nil {
-			if *fA != *fB {
-				t.Fatalf("[%s fuel=%d] fault mismatch:\nstepwise:   %+v\nsuperblock: %+v", mode.name, fuel, *fA, *fB)
-			}
-			if fA.Error() != fB.Error() {
-				t.Fatalf("[%s fuel=%d] fault message mismatch:\nstepwise:   %s\nsuperblock: %s",
-					mode.name, fuel, fA.Error(), fB.Error())
-			}
-		}
-		if thA.Regs != thB.Regs {
-			t.Fatalf("[%s fuel=%d] register mismatch:\nstepwise:   %v\nsuperblock: %v", mode.name, fuel, thA.Regs, thB.Regs)
-		}
-		if thA.PC != thB.PC {
-			t.Fatalf("[%s fuel=%d] PC mismatch: stepwise=%#x superblock=%#x", mode.name, fuel, thA.PC, thB.PC)
-		}
-		if thA.ZF != thB.ZF || thA.SF != thB.SF || thA.CF != thB.CF || thA.OF != thB.OF {
-			t.Fatalf("[%s fuel=%d] flag mismatch", mode.name, fuel)
-		}
-		if thA.Stats.Arch() != thB.Stats.Arch() {
-			t.Fatalf("[%s fuel=%d] stats mismatch:\nstepwise:   %+v\nsuperblock: %+v", mode.name, fuel, thA.Stats, thB.Stats)
-		}
-		if dA, dB := mA.Mem.Digest(), mB.Mem.Digest(); dA != dB {
-			t.Fatalf("[%s fuel=%d] memory digest mismatch: %#x vs %#x", mode.name, fuel, dA, dB)
-		}
-	}
-}
+// event landing inside a fused slot de-fuses bit-exactly (runParity in
+// superblock_test.go compares each against stepping).
 
 // idiomLoop builds a countdown loop whose body contains the given
 // instructions followed by the sub/cmp/jcc tail, iterating iters times.
@@ -141,7 +85,7 @@ func fusePrograms() []fuseProgram {
 }
 
 // TestFuseBiteMatrix lands fuel bites on every constituent position of
-// every fused idiom, in every dispatch mode. Fuels 1..2*body+4 cut at
+// every fused idiom, against stepping. Fuels 1..2*body+4 cut at
 // each slot across the first two loop iterations (including both bite
 // positions strictly inside each fused slot); the quantum-straddling
 // fuels catch bites induced by scheduling boundaries deep into the run.
@@ -158,37 +102,28 @@ func TestFuseBiteMatrix(t *testing.T) {
 			}
 			fuels = append(fuels, 1023, 1024, 1025, 4097)
 			for _, fuel := range fuels {
-				fuseParity(t, insts, fuel, p.setup)
+				runParity(t, insts, fuel, p.setup)
 			}
 		})
 	}
 }
 
 // TestFuseCompletionParity runs each idiom loop to completion (no fuel
-// cut) across all dispatch modes, and asserts — white-box — that the
-// fused modes actually executed fused slots (the parity sweep must not
-// pass vacuously with fusion never engaging).
+// cut) under stepping and superblocks, and asserts — white-box — that
+// superblock dispatch actually executed fused slots (the parity sweep
+// must not pass vacuously with fusion never engaging).
 func TestFuseCompletionParity(t *testing.T) {
 	for _, p := range fusePrograms() {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
 			t.Parallel()
 			insts := idiomLoop(p.body, 64)
-			fuseParity(t, insts, 0, p.setup)
-
-			conf := DefaultConfig()
-			conf.Superblocks = true
-			conf.Chain = true
-			conf.Fuse = true
-			m, th := buildFor(t, conf, insts)
-			if p.setup != nil {
-				p.setup(th)
-			}
-			if f := m.Run(); f != nil {
-				t.Fatal(f)
+			_, th := runParity(t, insts, 0, p.setup)
+			if th.Fault != nil {
+				t.Fatal(th.Fault)
 			}
 			if th.Stats.FusedSlots == 0 {
-				t.Fatalf("%s: fused mode executed no fused slots — the parity matrix is vacuous", p.name)
+				t.Fatalf("%s: superblock dispatch executed no fused slots — the parity check is vacuous", p.name)
 			}
 		})
 	}
@@ -251,20 +186,11 @@ func TestFuseFaultInsideIdiom(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			fuseParity(t, tc.insts, 0, tc.setup)
-
 			// White-box: fused dispatch must (a) fault with the expected
 			// kind and (b) account the interior fault as a de-fuse.
-			conf := DefaultConfig()
-			conf.Superblocks = true
-			conf.Fuse = true
-			m, th := buildFor(t, conf, tc.insts)
-			if tc.setup != nil {
-				tc.setup(th)
-			}
-			f := m.Run()
-			if f == nil || f.Kind != tc.kind {
-				t.Fatalf("want %v fault in fused mode, got %v", tc.kind, f)
+			_, th := runParity(t, tc.insts, 0, tc.setup)
+			if f := th.Fault; f == nil || f.Kind != tc.kind {
+				t.Fatalf("want %v fault under superblock dispatch, got %v", tc.kind, f)
 			}
 			if tc.name != "chk-faults" && th.Stats.Defuses == 0 {
 				t.Fatal("interior fault did not bump Stats.Defuses")
@@ -284,10 +210,7 @@ func TestFuseSlotProgram(t *testing.T) {
 		{Op: asm.OpBndCUReg, Src: asm.RBX, Bnd: asm.BND0},
 		{Op: asm.OpStore, M: asm.Mem{Base: asm.RBX, Index: asm.NoReg, Size: 8}, Src: asm.RAX},
 	}, 4)
-	conf := DefaultConfig()
-	conf.Superblocks = true
-	conf.Fuse = true
-	m, th := buildFor(t, conf, insts)
+	m, th := buildFor(t, DefaultConfig(), insts)
 	th.Bnd[asm.BND0] = BndRange{Lo: 0x100000, Hi: 0x10FFFF}
 	if f := m.Run(); f != nil {
 		t.Fatal(f)
@@ -409,11 +332,7 @@ func TestStepNeverCachesFusedSlots(t *testing.T) {
 		asm.Inst{Op: asm.OpCmpRI, Dst: asm.RCX, Imm: 0},
 		asm.Inst{Op: asm.OpJcc, Cond: asm.CondNE, Imm: loopStart},
 	)
-	conf := DefaultConfig()
-	conf.Superblocks = true
-	conf.Chain = true
-	conf.Fuse = true
-	m, th := buildFor(t, conf, insts)
+	m, th := buildFor(t, DefaultConfig(), insts)
 
 	for i := 0; i < 3; i++ {
 		if f := th.Step(); f != nil {
@@ -448,8 +367,8 @@ func TestStepNeverCachesFusedSlots(t *testing.T) {
 // TestHandlerRegistrationInsideFusedIdiom: a trusted handler registered
 // mid-run at the PC of an interior constituent of a fused idiom (the cmp
 // of a fused sub/cmp/jcc loop head) must flush and de-fuse the block so
-// the handler is dispatched — in every dispatch mode, with identical
-// state.
+// the handler is dispatched — under stepping and superblocks, with
+// identical state.
 func TestHandlerRegistrationInsideFusedIdiom(t *testing.T) {
 	subLen := encodeLen(asm.Inst{Op: asm.OpSubRI, Dst: asm.RCX, Imm: 1})
 	cmpLen := encodeLen(asm.Inst{Op: asm.OpCmpRI, Dst: asm.RCX, Imm: 0})
@@ -484,7 +403,6 @@ func TestHandlerRegistrationInsideFusedIdiom(t *testing.T) {
 	}
 	confA := DefaultConfig()
 	confA.Superblocks = false
-	confA.Fuse = false
 	mA, thA := mk(confA)
 	if f := mA.Run(); f != nil {
 		t.Fatal(f)
@@ -494,19 +412,13 @@ func TestHandlerRegistrationInsideFusedIdiom(t *testing.T) {
 	if thA.Regs[asm.RAX] != 8 || thA.Regs[asm.RDX] != 5 {
 		t.Fatalf("stepwise rax/rdx = %d/%d, want 8/5", thA.Regs[asm.RAX], thA.Regs[asm.RDX])
 	}
-	for _, mode := range parityModes {
-		confB := DefaultConfig()
-		confB.Superblocks = true
-		confB.Chain = mode.chain
-		confB.Fuse = mode.fuse
-		mB, thB := mk(confB)
-		if f := mB.Run(); f != nil {
-			t.Fatal(f)
-		}
-		if thA.Regs != thB.Regs || thA.Stats.Arch() != thB.Stats.Arch() || thA.PC != thB.PC {
-			t.Fatalf("[%s] state mismatch after handler registration inside a fused idiom:\nstepwise:   %+v\nsuperblock: %+v",
-				mode.name, thA.Stats, thB.Stats)
-		}
+	mB, thB := mk(DefaultConfig())
+	if f := mB.Run(); f != nil {
+		t.Fatal(f)
+	}
+	if thA.Regs != thB.Regs || thA.Stats.Arch() != thB.Stats.Arch() || thA.PC != thB.PC {
+		t.Fatalf("state mismatch after handler registration inside a fused idiom:\nstepwise:   %+v\nsuperblock: %+v",
+			thA.Stats, thB.Stats)
 	}
 }
 

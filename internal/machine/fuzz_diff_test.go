@@ -1,10 +1,10 @@
 // Randomized differential fuzzing: seeded, deterministic miniC programs
 // are generated, compiled through the full pipeline, and executed under
-// every dispatch mode (per-instruction stepping, unchained superblocks,
-// chained superblocks and superinstruction fusion — see diffRun and
-// diffModes). The generator leans on control-flow shapes — nested ifs, bounded loops, calls — because block
-// boundaries and branch edges are exactly where superblock dispatch and
-// direct block chaining can diverge from per-instruction stepping; it
+// per-instruction stepping and the default superblock dispatch (chained
+// and fused — see diffRun). The generator leans on control-flow shapes —
+// nested ifs, bounded loops, calls — because block boundaries and branch
+// edges are exactly where superblock dispatch and direct block chaining
+// can diverge from per-instruction stepping; it
 // also emits occasional unguarded divisions so divide-fault delivery is
 // fuzzed too.
 package machine_test
@@ -211,8 +211,8 @@ func TestFuzzDifferential(t *testing.T) {
 // TestFuzzDifferentialBoundsFaults drives seeded wild accesses — far past
 // the array on either side — through the MPX configuration: every run
 // must raise a bounds fault, and the fault's kind, address, PC, partial
-// state and memory digest must be identical across per-instruction
-// stepping, unchained superblocks and direct chaining. This is the
+// state and memory digest must be identical between per-instruction
+// stepping and superblock dispatch. This is the
 // adversarial-input half of the fault-path diff: the instrumentation
 // itself is what faults, at a PC the dispatch layers reach differently.
 func TestFuzzDifferentialBoundsFaults(t *testing.T) {
@@ -257,12 +257,12 @@ int main() {
 	}
 }
 
-// diffRunCorrupt mirrors diffRun for post-load code corruption: each
-// dispatch mode loads the same pristine artifact, has one code byte
-// overwritten with an invalid opcode at addr before execution, and runs.
-// Fault traces (kind, PC, message), partial state and memory digests must
-// agree across modes — superblock caches and chain links must not let a
-// mode run stale pre-corruption bytes.
+// diffRunCorrupt mirrors diffRun for post-load code corruption: stepping
+// and superblock dispatch each load the same pristine artifact, have one
+// code byte overwritten with an invalid opcode at addr before execution,
+// and run. Fault traces (kind, PC, message), partial state and memory
+// digests must agree — superblock caches and chain links must not let
+// block dispatch run stale pre-corruption bytes.
 func diffRunCorrupt(t *testing.T, art *confllvm.Artifact, addr uint64) *confllvm.Result {
 	t.Helper()
 	run := func(mc *machine.Config) *confllvm.Result {
@@ -275,17 +275,11 @@ func diffRunCorrupt(t *testing.T, art *confllvm.Artifact, addr uint64) *confllvm
 		}
 		return p.Finish()
 	}
-	mcStep := machine.DefaultConfig()
-	mcStep.Superblocks = false
-	mcStep.Fuse = false
-	ref := run(&mcStep)
-	for _, md := range diffModes() {
-		mc := mcStep
-		mc.Superblocks = true
-		mc.Chain = md.chain
-		mc.Fuse = md.fuse
-		compareResults(t, md.name, ref, run(&mc))
-	}
+	step := machine.DefaultConfig()
+	step.Superblocks = false
+	ref := run(&step)
+	mc := machine.DefaultConfig()
+	compareResults(t, ref, run(&mc))
 	return ref
 }
 
@@ -313,9 +307,9 @@ func instAddrs(img *link.Image, fs *link.FuncSym) []uint64 {
 
 // TestFuzzDifferentialDecodeFaults plants an invalid opcode at a seeded
 // instruction boundary inside main of a seeded fuzz program and diffs the
-// execution across all dispatch modes. Corruption on the executed path
-// must raise FaultDecode at the same PC with the same digest everywhere;
-// corruption on a cold path must leave all modes running to the same
+// execution between stepping and superblocks. Corruption on the executed
+// path must raise FaultDecode at the same PC with the same digest in both;
+// corruption on a cold path must leave both running to the same
 // clean completion. Across the seed set, at least one bomb must land hot
 // (otherwise the test is vacuous).
 func TestFuzzDifferentialDecodeFaults(t *testing.T) {
@@ -360,8 +354,8 @@ func TestFuzzDifferentialDecodeFaults(t *testing.T) {
 // TestFuzzDifferentialFuelAtBoundaries cuts the instruction budget of
 // seeded fuzz programs at seeded fractions of their run length, so fuel
 // faults land at arbitrary alignments relative to superblock and chain
-// boundaries. Every cut must fault with FaultFuel, identically in all
-// dispatch modes.
+// boundaries. Every cut must fault with FaultFuel, identically under
+// stepping and superblocks.
 func TestFuzzDifferentialFuelAtBoundaries(t *testing.T) {
 	nSeeds := 6
 	if testing.Short() {

@@ -28,9 +28,9 @@ type Stats struct {
 	// completion and Defuses counts the times a fused slot fell back to
 	// its constituent list (a fuel/quantum bite or a fault landing
 	// inside the slot; see fuse.go). They describe how the dispatcher
-	// executed, not what the program did: they legitimately differ
-	// across dispatch modes, so cross-mode comparisons go through
-	// Arch(), which zeroes them.
+	// executed, not what the program did: stepping never fuses, so
+	// stepping-vs-superblock comparisons go through Arch(), which zeroes
+	// them.
 	FusedSlots uint64
 	Defuses    uint64
 }
@@ -50,10 +50,10 @@ func (s *Stats) Add(other Stats) {
 }
 
 // Arch returns the architectural subset of s: the counters that must be
-// bit-identical across every dispatch mode (stepping, superblock,
-// chained, fused). The dispatcher-observability counters
-// (FusedSlots, Defuses) are zeroed — a stepping run fuses nothing, so
-// whole-struct equality across modes would be vacuously false.
+// bit-identical between per-instruction stepping and superblock
+// dispatch. The dispatcher-observability counters (FusedSlots, Defuses)
+// are zeroed — a stepping run fuses nothing, so whole-struct equality
+// would be vacuously false.
 func (s Stats) Arch() Stats {
 	s.FusedSlots = 0
 	s.Defuses = 0
@@ -97,23 +97,27 @@ type Thread struct {
 // performing the return sequence of the active configuration).
 type Handler func(m *Machine, t *Thread) *Fault
 
-// Config tunes the cost model.
+// The calibrated cost model. Every machine uses these; Config holds only
+// what a caller may vary.
+const (
+	cores       = 4  // hardware cores for wall-clock estimation
+	missPenalty = 14 // cycles per L1D miss
+	fpMaskDepth = 2  // bound checks maskable behind each FP op window
+)
+
+// Config holds the per-run knobs: none of them changes the cost model.
 type Config struct {
-	Cores        int    // hardware cores for wall-clock estimation
-	CacheModel   bool   // model L1D hit/miss
-	MissPenalty  uint64 // cycles per L1D miss
-	FPMaskDepth  int    // bound checks maskable behind each FP op window
-	DefaultFuel  uint64 // instruction budget per Run call (0 = no limit)
-	TrustedCost  uint64 // cycles charged for a U->T->U transition (wrapper)
-	TrustedCost1 uint64 // same, when U and T share memory (Our1Mem)
+	DefaultFuel uint64 // instruction budget per Run call (0 = no limit)
 
 	// Superblocks makes Run dispatch once per basic block instead of once
-	// per instruction: straight-line decoded instructions are fused into
-	// superblocks (see superblock.go) executed by a tight handler loop.
-	// Architectural results — registers, memory, cycle counts, fault PCs
-	// and messages — are bit-identical to per-instruction stepping; the
-	// differential tests in diff_test.go enforce this. Thread.Step always
-	// executes a single instruction regardless of this flag.
+	// per instruction: straight-line decoded instructions are flattened
+	// into superblocks chained run-to-run and fused into
+	// superinstructions (see superblock.go and fuse.go). Architectural
+	// results — registers, memory, cycle counts, fault PCs and messages —
+	// are bit-identical to per-instruction stepping; the differential
+	// tests in diff_test.go enforce this. Thread.Step always executes a
+	// single instruction regardless of this flag, and false makes Run the
+	// stepping oracle.
 	Superblocks bool
 
 	// Profile enables cycle-attributed profiling: the machine carries a
@@ -122,44 +126,14 @@ type Config struct {
 	// address. Purely observational — no simulated result changes — and
 	// free when off (one nil check per block, zero allocations).
 	Profile bool
-
-	// Chain links superblocks to their successors: a block ending in a
-	// direct jmp (and both edges of a jcc) caches a pointer to the
-	// successor's flattened run when the target lies in the same decode
-	// trace and outside the trusted-handler range, so hot loops execute
-	// run-to-run without returning through the dispatcher (see
-	// superblock.go). Only meaningful with Superblocks; bit-identical to
-	// unchained dispatch in every simulated result. Chain and Fuse are
-	// on by default and have no CLI switch: they stay as test knobs for
-	// bisecting a divergence between superblock dispatch and stepping.
-	Chain bool
-
-	// Fuse enables superinstruction fusion at flatten time: buildBlock
-	// peephole-recognizes hot multi-instruction idioms — add/sub+cmp+jcc
-	// loop heads, load/op/store triples, cmp+jcc pairs, and MPX
-	// check+load / check+store pairs — into synthetic fused slots that
-	// the dispatcher executes with a single opcode dispatch (see
-	// fuse.go). A fuel or quantum bite, or a fault, landing inside a
-	// fused slot de-fuses: execution falls back to the constituent
-	// instruction list, so per-instruction PCs, cycle charges and fault
-	// messages are bit-identical to unfused dispatch. Only meaningful
-	// with Superblocks.
-	Fuse bool
 }
 
-// DefaultConfig returns the calibrated default cost model.
+// DefaultConfig returns the default run configuration: superblock
+// dispatch and a generous fuel budget.
 func DefaultConfig() Config {
 	return Config{
-		Cores:        4,
-		CacheModel:   true,
-		MissPenalty:  14,
-		FPMaskDepth:  2,
-		DefaultFuel:  2_000_000_000,
-		TrustedCost:  40,
-		TrustedCost1: 8,
-		Superblocks:  true,
-		Chain:        true,
-		Fuse:         true,
+		DefaultFuel: 2_000_000_000,
+		Superblocks: true,
 	}
 }
 
@@ -194,9 +168,6 @@ func (m *Machine) Profile() *Profile { return m.prof }
 
 // New creates a machine with the given configuration.
 func New(conf Config) *Machine {
-	if conf.Cores <= 0 {
-		conf.Cores = 1
-	}
 	m := &Machine{
 		Mem:      NewMemory(),
 		Handlers: make(map[uint64]Handler),
@@ -242,21 +213,18 @@ func (m *Machine) rebuildHandlerIndex() {
 // NewThread creates a thread starting at pc with the given stack pointer
 // and stack bounds.
 func (m *Machine) NewThread(pc, rsp, stackLo, stackHi uint64) *Thread {
-	t := &Thread{ID: len(m.Threads), PC: pc, StackLo: stackLo, StackHi: stackHi, m: m}
+	t := &Thread{ID: len(m.Threads), PC: pc, StackLo: stackLo, StackHi: stackHi, l1: newCache(), m: m}
 	t.Regs[asm.RSP] = rsp
-	if m.Conf.CacheModel {
-		t.l1 = newCache()
-	}
 	m.Threads = append(m.Threads, t)
 	return t
 }
 
 // fault halts the thread with a fault at the current pc, stamping the
-// fault with the thread's simulated cycle count. Every fault delivery in
-// every dispatch mode funnels through here (execRun, stepBlocks, the fuel
-// discipline in Run/runBlocks, and handler faults in Step), and the
-// callers all write back their cycle accounting before calling, so the
-// stamp is bit-identical across stepping, superblock and chained dispatch.
+// fault with the thread's simulated cycle count. Every fault delivery
+// funnels through here (execRun, stepBlocks, the fuel discipline in
+// Run/runBlocks, and handler faults in Step), and the callers all write
+// back their cycle accounting before calling, so the stamp is
+// bit-identical between stepping and superblock dispatch.
 func (t *Thread) fault(f *Fault) *Fault {
 	f.PC = t.PC
 	f.Cycle = t.Stats.Cycles
@@ -322,14 +290,11 @@ func (t *Thread) ea(m *asm.Mem, useSeg bool) uint64 {
 }
 
 func (t *Thread) memCost(addr uint64) uint64 {
-	if t.l1 == nil {
-		return 0
-	}
 	if t.l1.access(addr) {
 		return 0
 	}
 	t.Stats.CacheMisses++
-	return t.m.Conf.MissPenalty
+	return missPenalty
 }
 
 func (t *Thread) setCmpFlags(a, b uint64) {
@@ -456,12 +421,12 @@ func (t *Thread) Step() *Fault {
 			return t.fault(f)
 		}
 	}
-	_, f := t.execRun(run, tr, 1, false)
+	_, f := t.execRun(run, tr, 1)
 	return f
 }
 
 // execRun executes up to max instructions starting at run's entry slot,
-// then — with chain set and budget remaining — follows the run's cached
+// then — with budget remaining — follows the run's cached
 // successor links (resolving them on first use) so hot loops execute
 // run-to-run without returning through the dispatcher. Every run is a
 // flattened superblock (see superblock.go): slot k's instruction is
@@ -482,7 +447,7 @@ func (t *Thread) Step() *Fault {
 // instruction counts toward Instrs (but not Cycles), as it always has.
 //
 // Returns the number of instructions charged, including a faulting one.
-func (t *Thread) execRun(run *blockRun, tr *codeTrace, max int, chain bool) (int, *Fault) {
+func (t *Thread) execRun(run *blockRun, tr *codeTrace, max int) (int, *Fault) {
 	if max <= 0 {
 		return 0, nil
 	}
@@ -883,7 +848,7 @@ chained:
 			// this conserves Stats exactly (see profile.go).
 			prof.add(run.pcs[0], t.Stats.Cycles-profC0, uint64(k))
 		}
-		if t.Halted || k < run.n || done >= max || !chain {
+		if t.Halted || k < run.n || done >= max {
 			break chained
 		}
 		// The whole block completed with budget left: follow (or resolve
@@ -941,7 +906,7 @@ chained:
 }
 
 func (t *Thread) grantFPCredit() {
-	if t.fpCredit < t.m.Conf.FPMaskDepth {
+	if t.fpCredit < fpMaskDepth {
 		t.fpCredit++
 	}
 }
@@ -1039,11 +1004,11 @@ func (m *Machine) TotalStats() Stats {
 }
 
 // WallCycles estimates the wall-clock cycle count of the run: threads are
-// assigned to Cores cores using longest-processing-time-first scheduling
-// and the makespan is returned. With one thread this is just its cycle
-// count; with more threads than cores the load is shared.
+// assigned to the machine's cores using longest-processing-time-first
+// scheduling and the makespan is returned. With one thread this is just
+// its cycle count; with more threads than cores the load is shared.
 func (m *Machine) WallCycles() uint64 {
-	loads := make([]uint64, m.Conf.Cores)
+	var loads [cores]uint64
 	// LPT: sort thread cycle counts descending, assign to least-loaded core.
 	cycles := make([]uint64, 0, len(m.Threads))
 	for _, t := range m.Threads {

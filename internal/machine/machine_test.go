@@ -254,15 +254,35 @@ func TestFPMaskingCredits(t *testing.T) {
 }
 
 func TestWallCyclesScheduling(t *testing.T) {
-	m := New(Config{Cores: 2})
-	for i := 0; i < 4; i++ {
+	m := New(DefaultConfig())
+	for i := 0; i < 8; i++ {
 		th := m.NewThread(0, 0, 0, 0)
 		th.Stats.Cycles = 100
 		th.Halted = true
 	}
-	// 4 threads x 100 cycles on 2 cores = 200 wall cycles.
+	// 8 threads x 100 cycles on the machine's 4 cores = 200 wall cycles.
 	if w := m.WallCycles(); w != 200 {
 		t.Fatalf("wall = %d, want 200", w)
+	}
+}
+
+// TestZeroConfigChargesMissPenalty: the cost model is not configurable,
+// so even a zero-value Config models the L1 and charges the calibrated
+// 14-cycle miss penalty on a cold load.
+func TestZeroConfigChargesMissPenalty(t *testing.T) {
+	m, th := buildFor(t, Config{}, []asm.Inst{
+		{Op: asm.OpMovRI, Dst: asm.RBX, Imm: 0x100100},
+		{Op: asm.OpLoad, Dst: asm.RAX, M: asm.Mem{Base: asm.RBX, Index: asm.NoReg, Size: 8}},
+	})
+	if f := m.Run(); f != nil {
+		t.Fatal(f)
+	}
+	if th.Stats.CacheMisses != 1 {
+		t.Fatalf("cache misses = %d, want 1", th.Stats.CacheMisses)
+	}
+	// mov, load and exit at one cycle each, plus the miss.
+	if want := uint64(3 + 14); th.Stats.Cycles != want {
+		t.Fatalf("cycles = %d, want %d", th.Stats.Cycles, want)
 	}
 }
 

@@ -6,26 +6,50 @@ import (
 	"confllvm/internal/asm"
 )
 
-// profLoopMachine builds the BenchmarkRun loop program (iters ALU loop
-// iterations, then exit) on a machine with the given config, optionally
-// appending extra instructions after the loop in place of the exit.
-func profLoopMachine(t *testing.T, conf Config, iters int64, tail []asm.Inst) (*Machine, *Thread) {
+// profFusedLoop is the BenchmarkRun loop body: its ALU run packs and
+// its sub/cmp/jcc tail fuses, so block dispatch executes it through
+// fused slots.
+var profFusedLoop = []asm.Inst{
+	{Op: asm.OpMovRI, Dst: asm.RAX, Imm: 7},
+	{Op: asm.OpAddRI, Dst: asm.RAX, Imm: 3},
+	{Op: asm.OpMovRR, Dst: asm.RBX, Src: asm.RAX},
+	{Op: asm.OpXorRR, Dst: asm.RDX, Src: asm.RBX},
+	{Op: asm.OpMulRR, Dst: asm.RBX, Src: asm.RAX},
+	{Op: asm.OpStore, M: asm.Mem{Base: asm.RDI, Index: asm.NoReg, Size: 8, Disp: 0x100000}, Src: asm.RBX},
+	{Op: asm.OpLoad, Dst: asm.RSI, M: asm.Mem{Base: asm.RDI, Index: asm.NoReg, Size: 8, Disp: 0x100000}},
+	{Op: asm.OpSubRI, Dst: asm.RCX, Imm: 1},
+	{Op: asm.OpCmpRI, Dst: asm.RCX, Imm: 0},
+}
+
+// profPlainLoop does the same work with no fusable idiom: stores keep
+// register ops apart (the preceding counter move included), no load
+// feeds an ALU op, and a load separates the cmp from the jcc (loads
+// leave the flags alone), so block dispatch executes every constituent
+// through its own slot.
+var profPlainLoop = []asm.Inst{
+	{Op: asm.OpStore, M: asm.Mem{Base: asm.RDI, Index: asm.NoReg, Size: 8, Disp: 0x100008}, Src: asm.RCX},
+	{Op: asm.OpMovRI, Dst: asm.RAX, Imm: 7},
+	{Op: asm.OpStore, M: asm.Mem{Base: asm.RDI, Index: asm.NoReg, Size: 8, Disp: 0x100010}, Src: asm.RAX},
+	{Op: asm.OpAddRI, Dst: asm.RAX, Imm: 3},
+	{Op: asm.OpStore, M: asm.Mem{Base: asm.RDI, Index: asm.NoReg, Size: 8, Disp: 0x100018}, Src: asm.RAX},
+	{Op: asm.OpMulRR, Dst: asm.RBX, Src: asm.RAX},
+	{Op: asm.OpStore, M: asm.Mem{Base: asm.RDI, Index: asm.NoReg, Size: 8, Disp: 0x100000}, Src: asm.RBX},
+	{Op: asm.OpSubRI, Dst: asm.RCX, Imm: 1},
+	{Op: asm.OpLoad, Dst: asm.RSI, M: asm.Mem{Base: asm.RDI, Index: asm.NoReg, Size: 8, Disp: 0x100000}},
+	{Op: asm.OpCmpRI, Dst: asm.RCX, Imm: 0},
+	{Op: asm.OpLoad, Dst: asm.RDX, M: asm.Mem{Base: asm.RDI, Index: asm.NoReg, Size: 8, Disp: 0x100008}},
+}
+
+// profLoopMachine builds a loop program (iters iterations of body, then
+// exit) on a machine with the given config, optionally appending extra
+// instructions after the loop in place of the exit.
+func profLoopMachine(t *testing.T, conf Config, body []asm.Inst, iters int64, tail []asm.Inst) (*Machine, *Thread) {
 	t.Helper()
 	m := New(conf)
 	var code []byte
 	code = asm.Encode(code, asm.Inst{Op: asm.OpMovRI, Dst: asm.RCX, Imm: iters})
 	loopStart := 0x1000 + uint64(len(code))
-	for _, in := range []asm.Inst{
-		{Op: asm.OpMovRI, Dst: asm.RAX, Imm: 7},
-		{Op: asm.OpAddRI, Dst: asm.RAX, Imm: 3},
-		{Op: asm.OpMovRR, Dst: asm.RBX, Src: asm.RAX},
-		{Op: asm.OpXorRR, Dst: asm.RDX, Src: asm.RBX},
-		{Op: asm.OpMulRR, Dst: asm.RBX, Src: asm.RAX},
-		{Op: asm.OpStore, M: asm.Mem{Base: asm.RDI, Index: asm.NoReg, Size: 8, Disp: 0x100000}, Src: asm.RBX},
-		{Op: asm.OpLoad, Dst: asm.RSI, M: asm.Mem{Base: asm.RDI, Index: asm.NoReg, Size: 8, Disp: 0x100000}},
-		{Op: asm.OpSubRI, Dst: asm.RCX, Imm: 1},
-		{Op: asm.OpCmpRI, Dst: asm.RCX, Imm: 0},
-	} {
+	for _, in := range body {
 		code = asm.Encode(code, in)
 	}
 	code = asm.Encode(code, asm.Inst{Op: asm.OpJcc, Cond: asm.CondNE, Imm: int64(loopStart)})
@@ -46,21 +70,53 @@ func profLoopMachine(t *testing.T, conf Config, iters int64, tail []asm.Inst) (*
 	return m, th
 }
 
-var profModes = []struct {
+// profMode is one profiled configuration: stepping, or the default
+// superblock dispatch over a program with (fused) or without
+// (superblock) fusable idioms. The split keeps profile attribution
+// pinned on both slot kinds now that block dispatch always fuses.
+type profMode struct {
 	name        string
 	superblocks bool
-	chain       bool
-	fuse        bool
-}{
-	{"stepwise", false, false, false},
-	{"superblock", true, false, false},
-	{"chained", true, true, false},
-	{"fused", true, true, true},
+	fusable     bool
+}
+
+var profModes = []profMode{
+	{"stepwise", false, true},
+	{"superblock", true, false},
+	{"fused", true, true},
+}
+
+func (mode profMode) loop() []asm.Inst {
+	if mode.fusable {
+		return profFusedLoop
+	}
+	return profPlainLoop
+}
+
+// checkSlots fails unless the runs block dispatch cached hold fused
+// slots exactly when the mode's program is fusable; stepping builds
+// one-slot runs that never fuse, so it is not checked.
+func (mode profMode) checkSlots(t *testing.T, m *Machine) {
+	t.Helper()
+	if !mode.superblocks {
+		return
+	}
+	fused := false
+	for _, tr := range m.traces {
+		for _, run := range tr.runs {
+			if run != nil && run.xinsts != nil {
+				fused = true
+			}
+		}
+	}
+	if fused != mode.fusable {
+		t.Fatalf("cached runs hold fused slots: %v, want %v", fused, mode.fusable)
+	}
 }
 
 // TestProfileConservation: with profiling on, the attributed cycle and
-// instruction totals equal the thread's Stats exactly — in every dispatch
-// mode, on clean exits and on faulting runs (the fault path charges
+// instruction totals equal the thread's Stats exactly — stepping and
+// superblock dispatch, in unfused and fused slots, on clean exits and on faulting runs (the fault path charges
 // cum[k-1]; its attribution must match).
 func TestProfileConservation(t *testing.T) {
 	for _, mode := range profModes {
@@ -72,8 +128,6 @@ func TestProfileConservation(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				conf := DefaultConfig()
 				conf.Superblocks = mode.superblocks
-				conf.Chain = mode.chain
-				conf.Fuse = mode.fuse
 				conf.Profile = true
 				var tail []asm.Inst
 				if faulting {
@@ -84,8 +138,9 @@ func TestProfileConservation(t *testing.T) {
 						{Op: asm.OpLoad, Dst: asm.RAX, M: asm.Mem{Base: asm.NoReg, Index: asm.NoReg, Size: 8, Disp: 0x40}},
 					}
 				}
-				m, th := profLoopMachine(t, conf, 50, tail)
+				m, th := profLoopMachine(t, conf, mode.loop(), 50, tail)
 				f := m.Run()
+				mode.checkSlots(t, m)
 				if faulting && f == nil {
 					t.Fatal("expected a fault")
 				}
@@ -115,13 +170,12 @@ func TestProfileStatsUnchanged(t *testing.T) {
 			run := func(profile bool) (*Machine, *Thread) {
 				conf := DefaultConfig()
 				conf.Superblocks = mode.superblocks
-				conf.Chain = mode.chain
-				conf.Fuse = mode.fuse
 				conf.Profile = profile
-				m, th := profLoopMachine(t, conf, 50, nil)
+				m, th := profLoopMachine(t, conf, mode.loop(), 50, nil)
 				if f := m.Run(); f != nil {
 					t.Fatalf("fault: %v", f)
 				}
+				mode.checkSlots(t, m)
 				return m, th
 			}
 			_, off := run(false)
@@ -145,12 +199,16 @@ func TestProfileHandlerAttribution(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			conf := DefaultConfig()
 			conf.Superblocks = mode.superblocks
-			conf.Chain = mode.chain
-			conf.Fuse = mode.fuse
 			conf.Profile = true
 			m := New(conf)
 			const hnd = uint64(0x9000)
 			var code []byte
+			if mode.fusable {
+				// A two-op ALU pack ahead of the call fuses the block
+				// that enters the handler.
+				code = asm.Encode(code, asm.Inst{Op: asm.OpMovRI, Dst: asm.RAX, Imm: 1})
+				code = asm.Encode(code, asm.Inst{Op: asm.OpAddRI, Dst: asm.RAX, Imm: 2})
+			}
 			code = asm.Encode(code, asm.Inst{Op: asm.OpCall, Imm: int64(hnd)})
 			code = asm.Encode(code, asm.Inst{Op: asm.OpExit})
 			if _, err := m.Mem.Map("code", 0x1000, 0x1000, PermR|PermX); err != nil {
@@ -175,6 +233,7 @@ func TestProfileHandlerAttribution(t *testing.T) {
 			if f := m.Run(); f != nil {
 				t.Fatalf("fault: %v", f)
 			}
+			mode.checkSlots(t, m)
 			cells := m.Profile().Cells()
 			hc, ok := cells[hnd]
 			if !ok {
@@ -201,18 +260,15 @@ func TestProfileHandlerAttribution(t *testing.T) {
 // shipping the hooks inside the hot dispatch loop.
 func TestRunProfileDisabledZeroAlloc(t *testing.T) {
 	// The fused slot program is built once at flatten time, so the re-run
-	// path must stay allocation-free in every dispatch mode, fused
-	// included.
+	// path of superblock dispatch must stay allocation-free over unfused
+	// and fused slots alike. Stepping re-dispatches per instruction and is
+	// not the pinned path.
 	for _, mode := range profModes {
 		if !mode.superblocks {
-			continue // stepping re-dispatches per instruction; not the pinned path
+			continue
 		}
 		t.Run(mode.name, func(t *testing.T) {
-			conf := DefaultConfig()
-			conf.Superblocks = mode.superblocks
-			conf.Chain = mode.chain
-			conf.Fuse = mode.fuse
-			m, th := profLoopMachine(t, conf, 200, nil)
+			m, th := profLoopMachine(t, DefaultConfig(), mode.loop(), 200, nil)
 			reset := func() {
 				th.Halted = false
 				th.Fault = nil
@@ -221,6 +277,7 @@ func TestRunProfileDisabledZeroAlloc(t *testing.T) {
 			if f := m.Run(); f != nil {
 				t.Fatalf("warmup fault: %v", f)
 			}
+			mode.checkSlots(t, m)
 			allocs := testing.AllocsPerRun(10, func() {
 				reset()
 				if f := m.Run(); f != nil {

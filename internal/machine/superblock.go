@@ -20,7 +20,7 @@ import (
 // metadata — cached in codeTrace.runs[entryOff], so execRun iterates a
 // flat slice instead of re-walking lens[o] offsets per instruction.
 //
-// Direct block chaining (Conf.Chain): a run ending in a direct jmp, and
+// Direct block chaining: a run ending in a direct jmp, and
 // both edges of a jcc, cache a pointer to the successor run when the
 // target lies in the same trace and outside the trusted-handler range.
 // Hot loops then execute run-to-run inside execRun without returning
@@ -99,7 +99,7 @@ type blockRun struct {
 	// dispatches there.
 	short bool
 
-	// Superinstruction fusion (Conf.Fuse, see fuse.go): xinsts is the
+	// Superinstruction fusion (see fuse.go): xinsts is the
 	// fused slot program — synthetic idiom slots (Imm indexing fused)
 	// interleaved with singleton copies — or nil when no idiom matched.
 	// insts/pcs/cum above stay constituent-indexed regardless, so fuel,
@@ -180,9 +180,7 @@ func (tr *codeTrace) buildBlock(m *Machine, off uint64, limit int) (*blockRun, *
 	// walks. Step's one-slot builds (limit 1) never fuse — fuseRun needs
 	// at least two constituents — so a prior Step at a hot PC cannot
 	// change the fusion of the full-length run block dispatch rebuilds.
-	if m.Conf.Fuse {
-		fuseRun(run)
-	}
+	fuseRun(run)
 	tr.blocks[off] = uint16(n)
 	tr.runs[off] = run
 	return run, nil
@@ -240,7 +238,6 @@ func (tr *codeTrace) chainTarget(m *Machine, pc uint64) *blockRun {
 // the number of instructions charged, including a faulting one.
 func (t *Thread) stepBlocks(max int) (int, *Fault) {
 	m := t.m
-	chain := m.Conf.Chain
 	done := 0
 	for done < max && !t.Halted {
 		if t.PC >= m.hndLo && t.PC <= m.hndHi {
@@ -284,7 +281,7 @@ func (t *Thread) stepBlocks(max int) (int, *Fault) {
 				return done + 1, t.fault(f)
 			}
 		}
-		n, f := t.execRun(run, tr, max-done, chain)
+		n, f := t.execRun(run, tr, max-done)
 		done += n
 		if f != nil {
 			return done, f

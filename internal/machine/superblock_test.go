@@ -29,60 +29,54 @@ func buildFor(t *testing.T, conf Config, insts []asm.Inst) (*Machine, *Thread) {
 	return m, th
 }
 
-// parityModes is the superblock-side half of the white-box dispatch
-// matrix: every entry must be bit-identical to per-instruction stepping
-// in thread state, architectural stats and memory.
-var parityModes = []struct {
-	name        string
-	chain, fuse bool
-}{
-	{"nochain", false, false},
-	{"chained", true, false},
-	{"fused", true, true},
-}
-
-// runParity runs the same instruction stream under per-instruction
-// stepping and every superblock dispatch mode (unchained, chained,
-// fused), and requires identical thread state, architectural
-// stats and memory across all of them.
-func runParity(t *testing.T, insts []asm.Inst) (*Thread, *Thread) {
+// runParity runs insts under per-instruction stepping and under the
+// default superblock dispatch, with an optional fuel limit (0 keeps the
+// default) and thread setup hook (for bound registers), and requires
+// identical faults and fault messages, registers, PC, flags,
+// architectural stats and memory. It returns the stepping thread and the
+// superblock thread.
+func runParity(t *testing.T, insts []asm.Inst, fuel uint64, setup func(*Thread)) (*Thread, *Thread) {
 	t.Helper()
-	confA := DefaultConfig()
-	confA.Superblocks = false
-	confA.Fuse = false
-	mA, thA := buildFor(t, confA, insts)
-	fA := mA.Run()
-
-	var thB *Thread
-	for _, mode := range parityModes {
-		confB := DefaultConfig()
-		confB.Superblocks = true
-		confB.Chain = mode.chain
-		confB.Fuse = mode.fuse
-		mB, th := buildFor(t, confB, insts)
-		fB := mB.Run()
-		if (fA == nil) != (fB == nil) {
-			t.Fatalf("[%s] fault mismatch: stepwise=%v superblock=%v", mode.name, fA, fB)
+	run := func(superblocks bool) (*Machine, *Thread, *Fault) {
+		conf := DefaultConfig()
+		conf.Superblocks = superblocks
+		if fuel > 0 {
+			conf.DefaultFuel = fuel
 		}
-		if fA != nil && *fA != *fB {
-			t.Fatalf("[%s] fault mismatch: stepwise=%+v superblock=%+v", mode.name, *fA, *fB)
+		m, th := buildFor(t, conf, insts)
+		if setup != nil {
+			setup(th)
 		}
-		if thA.Regs != th.Regs {
-			t.Fatalf("[%s] register mismatch:\nstepwise:   %v\nsuperblock: %v", mode.name, thA.Regs, th.Regs)
+		return m, th, m.Run()
+	}
+	mA, thA, fA := run(false)
+	mB, thB, fB := run(true)
+	if (fA == nil) != (fB == nil) {
+		t.Fatalf("[fuel=%d] fault mismatch: stepwise=%v superblock=%v", fuel, fA, fB)
+	}
+	if fA != nil {
+		if *fA != *fB {
+			t.Fatalf("[fuel=%d] fault mismatch:\nstepwise:   %+v\nsuperblock: %+v", fuel, *fA, *fB)
 		}
-		if thA.PC != th.PC {
-			t.Fatalf("[%s] PC mismatch: stepwise=%#x superblock=%#x", mode.name, thA.PC, th.PC)
+		if fA.Error() != fB.Error() {
+			t.Fatalf("[fuel=%d] fault message mismatch:\nstepwise:   %s\nsuperblock: %s",
+				fuel, fA.Error(), fB.Error())
 		}
-		if thA.Stats.Arch() != th.Stats.Arch() {
-			t.Fatalf("[%s] stats mismatch:\nstepwise:   %+v\nsuperblock: %+v", mode.name, thA.Stats, th.Stats)
-		}
-		if thA.ZF != th.ZF || thA.SF != th.SF || thA.CF != th.CF || thA.OF != th.OF {
-			t.Fatalf("[%s] flag mismatch across dispatch modes", mode.name)
-		}
-		if dA, dB := mA.Mem.Digest(), mB.Mem.Digest(); dA != dB {
-			t.Fatalf("[%s] memory digest mismatch: %#x vs %#x", mode.name, dA, dB)
-		}
-		thB = th
+	}
+	if thA.Regs != thB.Regs {
+		t.Fatalf("[fuel=%d] register mismatch:\nstepwise:   %v\nsuperblock: %v", fuel, thA.Regs, thB.Regs)
+	}
+	if thA.PC != thB.PC {
+		t.Fatalf("[fuel=%d] PC mismatch: stepwise=%#x superblock=%#x", fuel, thA.PC, thB.PC)
+	}
+	if thA.ZF != thB.ZF || thA.SF != thB.SF || thA.CF != thB.CF || thA.OF != thB.OF {
+		t.Fatalf("[fuel=%d] flag mismatch", fuel)
+	}
+	if thA.Stats.Arch() != thB.Stats.Arch() {
+		t.Fatalf("[fuel=%d] stats mismatch:\nstepwise:   %+v\nsuperblock: %+v", fuel, thA.Stats, thB.Stats)
+	}
+	if dA, dB := mA.Mem.Digest(), mB.Mem.Digest(); dA != dB {
+		t.Fatalf("[fuel=%d] memory digest mismatch: %#x vs %#x", fuel, dA, dB)
 	}
 	return thA, thB
 }
@@ -108,7 +102,7 @@ func TestSuperblockParityLoop(t *testing.T) {
 		{Op: asm.OpCmpRI, Dst: asm.RCX, Imm: 0},
 		{Op: asm.OpJcc, Cond: asm.CondNE, Imm: loopStart},
 	}
-	thA, _ := runParity(t, append(pre, body...))
+	thA, _ := runParity(t, append(pre, body...), 0, nil)
 	if thA.Regs[asm.RAX] != 5050 {
 		t.Fatalf("loop computed %d, want 5050", thA.Regs[asm.RAX])
 	}
@@ -144,7 +138,7 @@ func TestSuperblockParityFaults(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			thA, _ := runParity(t, c.insts)
+			thA, _ := runParity(t, c.insts, 0, nil)
 			if thA.Fault == nil || thA.Fault.Kind != c.kind {
 				t.Fatalf("want fault kind %d, got %v", c.kind, thA.Fault)
 			}
@@ -161,7 +155,7 @@ func TestDivideOverflowFaults(t *testing.T) {
 			{Op: asm.OpMovRI, Dst: asm.RAX, Imm: -0x8000000000000000},
 			{Op: asm.OpMovRI, Dst: asm.RBX, Imm: -1},
 			{Op: op, Dst: asm.RAX, Src: asm.RBX},
-		})
+		}, 0, nil)
 		if thA.Fault == nil || thA.Fault.Kind != FaultDivide {
 			t.Fatalf("%v: want divide fault, got %v", op, thA.Fault)
 		}
@@ -186,44 +180,17 @@ func TestRunFuelParity(t *testing.T) {
 		asm.Inst{Op: asm.OpCmpRI, Dst: asm.RCX, Imm: 0},
 		asm.Inst{Op: asm.OpJcc, Cond: asm.CondNE, Imm: loopStart},
 	)
+	// The budget boundary lands mid-block: the bite is capped and the
+	// remainder resumes at the interior slot PC. The loop tail
+	// sub/cmp/jcc is a fused idiom, so superblock dispatch also de-fuses
+	// at every bite position the fuel sweep produces.
 	for _, fuel := range []uint64{1, 2, 7, 1023, 1024, 1025, 4097} {
-		confA := DefaultConfig()
-		confA.Superblocks = false
-		confA.Fuse = false
-		confA.DefaultFuel = fuel
-		mA, thA := buildFor(t, confA, loop)
-		fA := mA.Run()
-		if fA == nil || fA.Kind != FaultFuel {
-			t.Fatalf("fuel=%d: want stepwise fuel fault, got %v", fuel, fA)
+		thA, _ := runParity(t, loop, fuel, nil)
+		if thA.Fault == nil || thA.Fault.Kind != FaultFuel {
+			t.Fatalf("fuel=%d: want stepwise fuel fault, got %v", fuel, thA.Fault)
 		}
 		if thA.Stats.Instrs != fuel-1 {
 			t.Fatalf("fuel=%d: executed %d instrs, want %d", fuel, thA.Stats.Instrs, fuel-1)
-		}
-		// The budget boundary must land identically whether blocks return
-		// to the dispatcher or chain run-to-run: the bite is capped and
-		// the remainder resumes at the interior slot PC in both cases.
-		// The loop tail sub/cmp/jcc is a fused idiom, so the fused mode
-		// also exercises de-fusing at every bite position the fuel sweep
-		// produces.
-		for _, mode := range parityModes {
-			confB := confA
-			confB.Superblocks = true
-			confB.Chain = mode.chain
-			confB.Fuse = mode.fuse
-			mB, thB := buildFor(t, confB, loop)
-			fB := mB.Run()
-			if fB == nil || fB.Kind != FaultFuel {
-				t.Fatalf("fuel=%d %s: want fuel fault, got %v", fuel, mode.name, fB)
-			}
-			if *fA != *fB {
-				t.Fatalf("fuel=%d %s: fault mismatch %+v vs %+v", fuel, mode.name, *fA, *fB)
-			}
-			if thA.Stats.Arch() != thB.Stats.Arch() {
-				t.Fatalf("fuel=%d %s: stats mismatch %+v vs %+v", fuel, mode.name, thA.Stats, thB.Stats)
-			}
-			if thA.PC != thB.PC || thA.Regs != thB.Regs {
-				t.Fatalf("fuel=%d %s: state mismatch at cutoff", fuel, mode.name)
-			}
 		}
 	}
 }
@@ -432,32 +399,26 @@ func TestChainStraightLineOffRegion(t *testing.T) {
 		t.Fatalf("stepwise fault PC = %#x, want %#x", fA.PC, want)
 	}
 
-	for _, chain := range []bool{false, true} {
-		confB := DefaultConfig()
-		confB.Chain = chain
-		mB, thB := buildRawFor(t, confB, code, size)
-		fB := mB.Run()
-		if fB == nil || *fA != *fB || fA.Error() != fB.Error() {
-			t.Fatalf("chain=%v: fault mismatch: stepwise=%+v superblock=%v", chain, *fA, fB)
-		}
-		if thA.Regs != thB.Regs || thA.Stats.Arch() != thB.Stats.Arch() || thA.PC != thB.PC {
-			t.Fatalf("chain=%v: state mismatch at off-region fault", chain)
-		}
-		if chain {
-			// White-box: the final block must have been built as unchainable
-			// (no terminator, so no edge to follow past the missing fetch).
-			tr := mB.traces[0]
-			run := tr.runs[offEdge]
-			if run == nil {
-				t.Fatalf("no run built at the fall-through block (off %#x)", offEdge)
-			}
-			if run.term != asm.OpInvalid {
-				t.Fatalf("off-region block has terminator %v, want OpInvalid", run.term)
-			}
-			if run.next != nil || run.taken != nil || run.fall != nil {
-				t.Fatal("off-region block cached a chain link; it must never chain")
-			}
-		}
+	mB, thB := buildRawFor(t, DefaultConfig(), code, size)
+	fB := mB.Run()
+	if fB == nil || *fA != *fB || fA.Error() != fB.Error() {
+		t.Fatalf("fault mismatch: stepwise=%+v superblock=%v", *fA, fB)
+	}
+	if thA.Regs != thB.Regs || thA.Stats.Arch() != thB.Stats.Arch() || thA.PC != thB.PC {
+		t.Fatal("state mismatch at off-region fault")
+	}
+	// White-box: the final block must have been built as unchainable (no
+	// terminator, so no edge to follow past the missing fetch).
+	tr := mB.traces[0]
+	run := tr.runs[offEdge]
+	if run == nil {
+		t.Fatalf("no run built at the fall-through block (off %#x)", offEdge)
+	}
+	if run.term != asm.OpInvalid {
+		t.Fatalf("off-region block has terminator %v, want OpInvalid", run.term)
+	}
+	if run.next != nil || run.taken != nil || run.fall != nil {
+		t.Fatal("off-region block cached a chain link; it must never chain")
 	}
 }
 
@@ -483,17 +444,13 @@ func TestChainedDecodeFaultTarget(t *testing.T) {
 	if fA.Addr != uint64(target) || fA.PC != uint64(target) {
 		t.Fatalf("stepwise fault addr/PC = %#x/%#x, want %#x", fA.Addr, fA.PC, target)
 	}
-	for _, chain := range []bool{false, true} {
-		confB := DefaultConfig()
-		confB.Chain = chain
-		mB, thB := buildRawFor(t, confB, code, 0x1000)
-		fB := mB.Run()
-		if fB == nil || *fA != *fB || fA.Error() != fB.Error() {
-			t.Fatalf("chain=%v: fault mismatch: stepwise=%+v superblock=%v", chain, *fA, fB)
-		}
-		if thA.Regs != thB.Regs || thA.Stats.Arch() != thB.Stats.Arch() {
-			t.Fatalf("chain=%v: state mismatch at decode fault", chain)
-		}
+	mB, thB := buildRawFor(t, DefaultConfig(), code, 0x1000)
+	fB := mB.Run()
+	if fB == nil || *fA != *fB || fA.Error() != fB.Error() {
+		t.Fatalf("fault mismatch: stepwise=%+v superblock=%v", *fA, fB)
+	}
+	if thA.Regs != thB.Regs || thA.Stats.Arch() != thB.Stats.Arch() {
+		t.Fatal("state mismatch at decode fault")
 	}
 }
 
@@ -539,12 +496,11 @@ func chainLoopWithHandler(t *testing.T, conf Config, iters int64,
 // a loop that is already executing through cached chain links. The patch
 // flushes the traces (runs and links included), so the remaining
 // iterations must execute the new bytes — identically in all three
-// dispatch modes.
+// under stepping and superblocks.
 func TestChainedCodePatchInvalidation(t *testing.T) {
-	mk := func(superblocks, chain bool) (*Machine, *Thread) {
+	mk := func(superblocks bool) (*Machine, *Thread) {
 		conf := DefaultConfig()
 		conf.Superblocks = superblocks
-		conf.Chain = chain
 		calls := 0
 		return chainLoopWithHandler(t, conf, 6,
 			func(addPC, skipPC uint64) Handler {
@@ -566,7 +522,7 @@ func TestChainedCodePatchInvalidation(t *testing.T) {
 				}
 			})
 	}
-	mA, thA := mk(false, false)
+	mA, thA := mk(false)
 	if f := mA.Run(); f != nil {
 		t.Fatal(f)
 	}
@@ -575,18 +531,16 @@ func TestChainedCodePatchInvalidation(t *testing.T) {
 	if want := uint64(2 + 4*100); thA.Regs[asm.RAX] != want {
 		t.Fatalf("stepwise rax = %d, want %d", thA.Regs[asm.RAX], want)
 	}
-	for _, chain := range []bool{false, true} {
-		mB, thB := mk(true, chain)
-		if f := mB.Run(); f != nil {
-			t.Fatal(f)
-		}
-		if thA.Regs != thB.Regs || thA.Stats.Arch() != thB.Stats.Arch() || thA.PC != thB.PC {
-			t.Fatalf("chain=%v: state mismatch after mid-loop code patch:\nstepwise:   %+v\nsuperblock: %+v",
-				chain, thA.Stats, thB.Stats)
-		}
-		if dA, dB := mA.Mem.Digest(), mB.Mem.Digest(); dA != dB {
-			t.Fatalf("chain=%v: memory digest mismatch after patch", chain)
-		}
+	mB, thB := mk(true)
+	if f := mB.Run(); f != nil {
+		t.Fatal(f)
+	}
+	if thA.Regs != thB.Regs || thA.Stats.Arch() != thB.Stats.Arch() || thA.PC != thB.PC {
+		t.Fatalf("state mismatch after mid-loop code patch:\nstepwise:   %+v\nsuperblock: %+v",
+			thA.Stats, thB.Stats)
+	}
+	if dA, dB := mA.Mem.Digest(), mB.Mem.Digest(); dA != dB {
+		t.Fatal("memory digest mismatch after patch")
 	}
 }
 
@@ -594,52 +548,69 @@ func TestChainedCodePatchInvalidation(t *testing.T) {
 // second handler at a PC inside a loop that is already chained. The
 // handler index rebuild (hoisted to run after handler dispatches) moves
 // [hndLo, hndHi] across the loop and flushes every run and chain link,
-// so the new handler must be dispatched instead of the fused add — in
-// all three dispatch modes identically.
+// so the new handler must be dispatched — in stepping and superblocks
+// identically. On the add it shadows a block interior; on the loop head
+// it shadows the jcc's taken target, which chain resolution must refuse
+// to link into.
 func TestChainedHandlerRegistrationMidRun(t *testing.T) {
-	mk := func(superblocks, chain bool) (*Machine, *Thread) {
-		conf := DefaultConfig()
-		conf.Superblocks = superblocks
-		conf.Chain = chain
-		calls := 0
-		return chainLoopWithHandler(t, conf, 8,
-			func(addPC, skipPC uint64) Handler {
-				return func(m *Machine, t *Thread) *Fault {
-					ret, f := t.Pop()
-					if f != nil {
-						return f
-					}
-					t.PC = ret
-					calls++
-					if calls == 4 {
-						m.Handlers[addPC] = func(m *Machine, t *Thread) *Fault {
-							t.Regs[asm.RDX] += 50
-							t.PC = skipPC
+	callLen := uint64(encodeLen(asm.Inst{Op: asm.OpCall, Imm: 0x9000}))
+	cases := []struct {
+		name string
+		// at returns the new handler's PC and the PC it resumes at.
+		at               func(addPC, skipPC uint64) (uint64, uint64)
+		wantRAX, wantRDX uint64
+	}{
+		// Iterations 1-3 execute the add; from iteration 4 on the new
+		// handler shadows it.
+		{"add", func(addPC, skipPC uint64) (uint64, uint64) { return addPC, skipPC }, 3, 5 * 50},
+		// Iterations 1-4 call; iterations 5-8 re-enter the loop head
+		// through the jcc and find the new handler there.
+		{"loop-head", func(addPC, skipPC uint64) (uint64, uint64) { return addPC - callLen, addPC }, 8, 4 * 50},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func(superblocks bool) (*Machine, *Thread) {
+				conf := DefaultConfig()
+				conf.Superblocks = superblocks
+				calls := 0
+				return chainLoopWithHandler(t, conf, 8,
+					func(addPC, skipPC uint64) Handler {
+						return func(m *Machine, t *Thread) *Fault {
+							ret, f := t.Pop()
+							if f != nil {
+								return f
+							}
+							t.PC = ret
+							calls++
+							if calls == 4 {
+								hpc, resume := tc.at(addPC, skipPC)
+								m.Handlers[hpc] = func(m *Machine, t *Thread) *Fault {
+									t.Regs[asm.RDX] += 50
+									t.PC = resume
+									return nil
+								}
+							}
 							return nil
 						}
-					}
-					return nil
-				}
-			})
-	}
-	mA, thA := mk(false, false)
-	if f := mA.Run(); f != nil {
-		t.Fatal(f)
-	}
-	// Iterations 1-3 execute the add; from iteration 4 on the new handler
-	// shadows it.
-	if thA.Regs[asm.RAX] != 3 || thA.Regs[asm.RDX] != 5*50 {
-		t.Fatalf("stepwise rax/rdx = %d/%d, want 3/250", thA.Regs[asm.RAX], thA.Regs[asm.RDX])
-	}
-	for _, chain := range []bool{false, true} {
-		mB, thB := mk(true, chain)
-		if f := mB.Run(); f != nil {
-			t.Fatal(f)
-		}
-		if thA.Regs != thB.Regs || thA.Stats.Arch() != thB.Stats.Arch() || thA.PC != thB.PC {
-			t.Fatalf("chain=%v: state mismatch after mid-run handler registration:\nstepwise:   %+v\nsuperblock: %+v",
-				chain, thA.Stats, thB.Stats)
-		}
+					})
+			}
+			mA, thA := mk(false)
+			if f := mA.Run(); f != nil {
+				t.Fatal(f)
+			}
+			if thA.Regs[asm.RAX] != tc.wantRAX || thA.Regs[asm.RDX] != tc.wantRDX {
+				t.Fatalf("stepwise rax/rdx = %d/%d, want %d/%d",
+					thA.Regs[asm.RAX], thA.Regs[asm.RDX], tc.wantRAX, tc.wantRDX)
+			}
+			mB, thB := mk(true)
+			if f := mB.Run(); f != nil {
+				t.Fatal(f)
+			}
+			if thA.Regs != thB.Regs || thA.Stats.Arch() != thB.Stats.Arch() || thA.PC != thB.PC {
+				t.Fatalf("state mismatch after mid-run handler registration:\nstepwise:   %+v\nsuperblock: %+v",
+					thA.Stats, thB.Stats)
+			}
+		})
 	}
 }
 

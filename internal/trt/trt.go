@@ -146,13 +146,17 @@ func (c *Context) CheckPriv(addr, size uint64) *machine.Fault {
 
 // ---- Transition costs and the return discipline ----
 
+// Calibrated U->T->U transition costs, in cycles.
+const (
+	trustedCost  = 40 // wrapper: stack + gs switch, argument copying
+	trustedCost1 = 8  // U and T share memory (Our1Mem): plain library call
+)
+
 // charge accounts for the U->T->U transition plus per-byte work in T.
-func (c *Context) charge(t *machine.Thread, m *machine.Machine, bytes uint64) {
-	var cost uint64
+func (c *Context) charge(t *machine.Thread, bytes uint64) {
+	cost := uint64(trustedCost1)
 	if c.Conf.SeparateUT {
-		cost = m.Conf.TrustedCost // stack + gs switch, argument copying
-	} else {
-		cost = m.Conf.TrustedCost1 // plain call into a shared library
+		cost = trustedCost
 	}
 	cost += bytes / 8
 	t.AddCycles(cost)
@@ -215,7 +219,7 @@ func (c *Context) handler(body func(m *machine.Machine, t *machine.Thread) (uint
 			return f
 		}
 		t.Regs[asm.RetReg] = res
-		c.charge(t, m, bytes)
+		c.charge(t, bytes)
 		return c.Return(m, t)
 	}
 }
