@@ -6,14 +6,10 @@ package machine
 // like the extra cache pressure of split public/private stacks (paper
 // Fig. 6, OurMPX vs OurMPX-Sep) are observable.
 type cache struct {
-	// lines is the whole cache as one flat array, set-major: set s owns
-	// lines[s*cacheWays : (s+1)*cacheWays]. One allocation and no
-	// per-access pointer chase through a slice-of-slices header.
-	lines    []cacheLine
-	setMask  uint64
-	lineBits uint
-	hits     uint64
-	misses   uint64
+	// last is the line number of the most recent access (^0, which no
+	// line number equals, before the first). See access for why a repeat
+	// of it needs no bookkeeping.
+	last uint64
 
 	// clock is the per-cache LRU timestamp source. It is per instance (not
 	// a process global) so that a machine's replacement decisions depend
@@ -23,12 +19,14 @@ type cache struct {
 	// while keeping runs reproducible no matter what else the process has
 	// simulated before.
 	clock uint64
-}
 
-type cacheLine struct {
-	tag   uint64
-	valid bool
-	lru   uint64
+	// tags[s][w] is way w's tag plus one, so 0 marks an invalid way, and
+	// lru[s][w] its last-use stamp. Ways fill in index order and are
+	// never invalidated, so set s's valid ways are exactly
+	// [0, fill[s]): "first invalid way" is fill[s].
+	tags [cacheSets][cacheWays]uint64
+	lru  [cacheSets][cacheWays]uint64
+	fill [cacheSets]uint8
 }
 
 // cache geometry: 32 KB, 64-byte lines, 8-way (Skylake-like L1D).
@@ -38,43 +36,54 @@ const (
 	cacheSets     = 32 * 1024 / (1 << cacheLineBits) / cacheWays
 )
 
-func newCache() *cache {
-	return &cache{
-		lines:    make([]cacheLine, cacheSets*cacheWays),
-		setMask:  cacheSets - 1,
-		lineBits: cacheLineBits,
-	}
+// A line number splits into set line%cacheSets and tag line/cacheSets.
+// With cacheSets a power of two both compile to a mask and a shift; this
+// array has a negative length, and the package fails to compile,
+// otherwise.
+var _ [1 - 2*(cacheSets&(cacheSets-1))]struct{}
+
+func newCache() *cache { return &cache{last: ^uint64(0)} }
+
+// access touches addr and reports whether it hit. Replacement is LRU
+// within the set, filling the first invalid way by index first.
+//
+// A repeat of the last line accessed is a hit that skips both clock++
+// and the LRU write, and access stays small enough to inline, so such a
+// hit makes no call. This is exact: that line is resident (an access
+// always leaves its line resident and nothing invalidates), and its
+// stamp is the highest in its set. LRU compares stamps only within one
+// set, and the skip leaves every stamp's order unchanged, so no later
+// victim differs from restamping it.
+func (c *cache) access(addr uint64) bool {
+	line := addr >> cacheLineBits
+	return line == c.last || c.probe(line)
 }
 
-// access touches addr and reports whether it hit. The hit scan and the
-// LRU victim scan share one pass; the replacement policy (first invalid
-// way by index, else the least-recently-used way) is unchanged, so miss
-// counts — and therefore simulated cycles — are identical.
-func (c *cache) access(addr uint64) bool {
+// probe is access for a line other than the last one.
+func (c *cache) probe(line uint64) bool {
+	c.last = line
 	c.clock++
-	line := addr >> c.lineBits
-	si := (line & c.setMask) * cacheWays
-	set := c.lines[si : si+cacheWays : si+cacheWays]
-	tag := line >> 5 // bits above the set index
-	victim, invalid := 0, -1
-	for i := range set {
-		if set[i].valid {
-			if set[i].tag == tag {
-				set[i].lru = c.clock
-				c.hits++
-				return true
-			}
-			if set[i].lru < set[victim].lru {
-				victim = i
-			}
-		} else if invalid < 0 {
-			invalid = i
+	s := line % cacheSets
+	tags, lru := &c.tags[s], &c.lru[s]
+	tag := line/cacheSets + 1
+	for i := range tags {
+		if tags[i] == tag {
+			lru[i] = c.clock
+			return true
 		}
 	}
-	c.misses++
-	if invalid >= 0 {
-		victim = invalid
+	victim := int(c.fill[s])
+	if victim < cacheWays {
+		c.fill[s]++
+	} else {
+		victim = 0
+		for i := 1; i < cacheWays; i++ {
+			if lru[i] < lru[victim] {
+				victim = i
+			}
+		}
 	}
-	set[victim] = cacheLine{tag: tag, valid: true, lru: c.clock}
+	tags[victim] = tag
+	lru[victim] = c.clock
 	return false
 }

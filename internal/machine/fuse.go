@@ -727,7 +727,7 @@ func (t *Thread) bndCheck(ip *asm.Inst) *Fault {
 	switch ip.Op {
 	case asm.OpBndCLMem, asm.OpBndCUMem:
 		// As with lea, the check is on the raw address (no segment).
-		addr = t.ea(&ip.M, false)
+		addr = t.ea(&ip.M)
 	default:
 		addr = t.Regs[ip.Src]
 	}
@@ -772,27 +772,22 @@ func (t *Thread) jccNext(ip *asm.Inst, fall uint64) uint64 {
 	return fall
 }
 
-// execLoad executes a load constituent: the exact semantics of the
-// OpLoad case in execRun's switch, including the dynamic cache cost.
+// execLoad executes a load instruction, fused constituent or not.
 func (t *Thread) execLoad(ip *asm.Inst) *Fault {
-	addr := t.ea(&ip.M, true)
-	v, f := t.m.Mem.Read(addr, ip.M.Size)
+	v, f := t.load(&ip.M, ip.M.Size)
 	if f != nil {
 		return f
 	}
-	t.Regs[ip.Dst] = extend(v, ip.M.Size, ip.M.Signed)
+	t.Regs[ip.Dst] = v
 	t.Stats.Loads++
-	t.Stats.Cycles += t.memCost(addr)
 	return nil
 }
 
-// execStore executes a store constituent (the OpStore case).
+// execStore executes a store instruction, fused constituent or not.
 func (t *Thread) execStore(ip *asm.Inst) *Fault {
-	addr := t.ea(&ip.M, true)
-	if f := t.m.Mem.Write(addr, ip.M.Size, t.Regs[ip.Src]); f != nil {
+	if f := t.store(&ip.M, ip.M.Size, t.Regs[ip.Src]); f != nil {
 		return f
 	}
 	t.Stats.Stores++
-	t.Stats.Cycles += t.memCost(addr)
 	return nil
 }

@@ -255,13 +255,22 @@ func (t *Thread) Pop() (uint64, *Fault) {
 // EA computes the effective address of a memory operand for this thread,
 // applying segment bases and the 32-bit operand constraint of the
 // segmentation scheme.
-func (t *Thread) EA(m asm.Mem) uint64 { return t.ea(&m, true) }
+func (t *Thread) EA(m asm.Mem) uint64 { return t.ea(&m) + t.segBase(m.Seg) }
 
-// ea is the pointer form of EA used by the dispatch loop: it avoids
-// copying the operand out of the decode trace. useSeg=false computes the
-// raw address without the segment base (lea and the bndcl/bndcu memory
-// forms, as on x64).
-func (t *Thread) ea(m *asm.Mem, useSeg bool) uint64 {
+// segBase is the base address segment s adds (0 for SegNone).
+func (t *Thread) segBase(s asm.Seg) uint64 {
+	switch s {
+	case asm.SegFS:
+		return t.FS
+	case asm.SegGS:
+		return t.GS
+	}
+	return 0
+}
+
+// ea computes the raw address of a memory operand, without the segment
+// base: the address lea and the bndcl/bndcu memory forms use, as on x64.
+func (t *Thread) ea(m *asm.Mem) uint64 {
 	var base, index uint64
 	if m.Base != asm.NoReg {
 		base = t.Regs[m.Base]
@@ -273,28 +282,63 @@ func (t *Thread) ea(m *asm.Mem, useSeg bool) uint64 {
 		base = uint64(uint32(base))
 		index = uint64(uint32(index))
 	}
-	scale := uint64(m.Scale)
-	if scale == 0 {
-		scale = 1
+	if m.Scale > 1 { // scale 0 means 1
+		index *= uint64(m.Scale)
 	}
-	ea := base + index*scale + uint64(int64(m.Disp))
-	if useSeg {
-		switch m.Seg {
-		case asm.SegFS:
-			ea += t.FS
-		case asm.SegGS:
-			ea += t.GS
-		}
-	}
-	return ea
+	return base + index + uint64(int64(m.Disp))
 }
 
-func (t *Thread) memCost(addr uint64) uint64 {
-	if t.l1.access(addr) {
-		return 0
+// stackTop is the memory operand [rsp] that push, pop, call and ret
+// access through load and store.
+var stackTop = asm.Mem{Base: asm.RSP, Index: asm.NoReg, Size: 8}
+
+// load is the dispatch loop's one read path: the effective address of
+// m, the TLB read of size bytes (extended per m.Signed) and the L1
+// charge. A fault charges nothing. The TLB hit and the same-line L1 hit
+// inline here, so the common load makes no call beyond this one.
+func (t *Thread) load(m *asm.Mem, size uint8) (uint64, *Fault) {
+	addr := t.ea(m) + t.segBase(m.Seg)
+	v, ok := t.m.Mem.readFast(addr, size)
+	if !ok {
+		var f *Fault
+		if v, f = t.m.Mem.readSlow(addr, size); f != nil {
+			return 0, f
+		}
 	}
-	t.Stats.CacheMisses++
-	return missPenalty
+	if !t.l1.access(addr) {
+		t.Stats.CacheMisses++
+		t.Stats.Cycles += missPenalty
+	}
+	return extend(v, size, m.Signed), nil
+}
+
+// store is the dispatch loop's one write path, the mirror of load.
+func (t *Thread) store(m *asm.Mem, size uint8, v uint64) *Fault {
+	addr := t.ea(m) + t.segBase(m.Seg)
+	if !t.m.Mem.writeFast(addr, size, v) {
+		if f := t.m.Mem.writeSlow(addr, size, v); f != nil {
+			return f
+		}
+	}
+	if !t.l1.access(addr) {
+		t.Stats.CacheMisses++
+		t.Stats.Cycles += missPenalty
+	}
+	return nil
+}
+
+// push and pop are the stack forms of store and load. push leaves rsp
+// decremented even when the write faults, as Push does.
+func (t *Thread) push(v uint64) *Fault {
+	t.Regs[asm.RSP] -= 8
+	return t.store(&stackTop, 8, v)
+}
+
+func (t *Thread) pop() (v uint64, f *Fault) {
+	if v, f = t.load(&stackTop, 8); f == nil {
+		t.Regs[asm.RSP] += 8
+	}
+	return v, f
 }
 
 func (t *Thread) setCmpFlags(a, b uint64) {
@@ -500,41 +544,37 @@ chained:
 				t.Regs[ip.Dst] = uint64(ip.Imm)
 			case asm.OpLea:
 				// lea computes the raw address without the segment base (as x64).
-				t.Regs[ip.Dst] = t.ea(&ip.M, false)
+				t.Regs[ip.Dst] = t.ea(&ip.M)
 			case asm.OpLoad:
-				addr := t.ea(&ip.M, true)
-				v, f := t.m.Mem.Read(addr, ip.M.Size)
-				if f != nil {
-					fault = f
-					break loop
-				}
-				t.Regs[ip.Dst] = extend(v, ip.M.Size, ip.M.Signed)
-				t.Stats.Loads++
-				t.Stats.Cycles += t.memCost(addr)
-			case asm.OpStore:
-				addr := t.ea(&ip.M, true)
-				if f := t.m.Mem.Write(addr, ip.M.Size, t.Regs[ip.Src]); f != nil {
-					fault = f
-					break loop
-				}
-				t.Stats.Stores++
-				t.Stats.Cycles += t.memCost(addr)
-			case asm.OpPush:
-				if f := t.Push(t.Regs[ip.Src]); f != nil {
-					fault = f
-					break loop
-				}
-				t.Stats.Stores++
-				t.Stats.Cycles += t.memCost(t.Regs[asm.RSP])
-			case asm.OpPop:
-				v, f := t.Pop()
+				// As execLoad/execStore, inlined by hand: the extra call
+				// per access is measurable on memory-bound code.
+				v, f := t.load(&ip.M, ip.M.Size)
 				if f != nil {
 					fault = f
 					break loop
 				}
 				t.Regs[ip.Dst] = v
 				t.Stats.Loads++
-				t.Stats.Cycles += t.memCost(t.Regs[asm.RSP] - 8)
+			case asm.OpStore:
+				if f := t.store(&ip.M, ip.M.Size, t.Regs[ip.Src]); f != nil {
+					fault = f
+					break loop
+				}
+				t.Stats.Stores++
+			case asm.OpPush:
+				if f := t.push(t.Regs[ip.Src]); f != nil {
+					fault = f
+					break loop
+				}
+				t.Stats.Stores++
+			case asm.OpPop:
+				v, f := t.pop()
+				if f != nil {
+					fault = f
+					break loop
+				}
+				t.Regs[ip.Dst] = v
+				t.Stats.Loads++
 
 			case asm.OpAddRR:
 				t.Regs[ip.Dst] += t.Regs[ip.Src]
@@ -602,15 +642,13 @@ chained:
 			case asm.OpCmpRI:
 				t.setCmpFlags(t.Regs[ip.Dst], uint64(ip.Imm))
 			case asm.OpCmpMR:
-				addr := t.ea(&ip.M, true)
-				v, f := t.m.Mem.Read(addr, 8)
+				v, f := t.load(&ip.M, 8)
 				if f != nil {
 					fault = f
 					break loop
 				}
 				t.setCmpFlags(v, t.Regs[ip.Src])
 				t.Stats.Loads++
-				t.Stats.Cycles += t.memCost(addr)
 			case asm.OpTestRR:
 				t.setTestFlags(t.Regs[ip.Dst] & t.Regs[ip.Src])
 			case asm.OpTestRI:
@@ -633,26 +671,23 @@ chained:
 			case asm.OpJmpR:
 				nextPC = t.Regs[ip.Src]
 			case asm.OpCall:
-				if f := t.Push(run.pcs[k]); f != nil {
+				if f := t.push(run.pcs[k]); f != nil {
 					fault = f
 					break loop
 				}
-				t.Stats.Cycles += t.memCost(t.Regs[asm.RSP])
 				nextPC = uint64(ip.Imm)
 			case asm.OpICall:
-				if f := t.Push(run.pcs[k]); f != nil {
+				if f := t.push(run.pcs[k]); f != nil {
 					fault = f
 					break loop
 				}
-				t.Stats.Cycles += t.memCost(t.Regs[asm.RSP])
 				nextPC = t.Regs[ip.Src]
 			case asm.OpRet:
-				v, f := t.Pop()
+				v, f := t.pop()
 				if f != nil {
 					fault = f
 					break loop
 				}
-				t.Stats.Cycles += t.memCost(t.Regs[asm.RSP] - 8)
 				nextPC = v
 			case asm.OpTrap:
 				fault = &Fault{Kind: FaultCFI, Msg: "trap"}
@@ -675,7 +710,7 @@ chained:
 				switch ip.Op {
 				case asm.OpBndCLMem, asm.OpBndCUMem:
 					// As with lea, the check is on the raw address (no segment).
-					addr = t.ea(&ip.M, false)
+					addr = t.ea(&ip.M)
 				default:
 					addr = t.Regs[ip.Src]
 				}
@@ -711,24 +746,20 @@ chained:
 				}
 
 			case asm.OpFLoad:
-				addr := t.ea(&ip.M, true)
-				v, f := t.m.Mem.Read(addr, 8)
+				v, f := t.load(&ip.M, 8)
 				if f != nil {
 					fault = f
 					break loop
 				}
 				t.FRegs[ip.FDst] = math.Float64frombits(v)
 				t.Stats.Loads++
-				t.Stats.Cycles += t.memCost(addr)
 				t.grantFPCredit()
 			case asm.OpFStore:
-				addr := t.ea(&ip.M, true)
-				if f := t.m.Mem.Write(addr, 8, math.Float64bits(t.FRegs[ip.FSrc])); f != nil {
+				if f := t.store(&ip.M, 8, math.Float64bits(t.FRegs[ip.FSrc])); f != nil {
 					fault = f
 					break loop
 				}
 				t.Stats.Stores++
-				t.Stats.Cycles += t.memCost(addr)
 				t.grantFPCredit()
 			case asm.OpFMovRR:
 				t.FRegs[ip.FDst] = t.FRegs[ip.FSrc]

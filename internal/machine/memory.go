@@ -66,7 +66,8 @@ const (
 // tlbEntry caches one fully-validated page: the page is allocated, and a
 // single region both contains it entirely and grants perm. Any access that
 // stays inside the page needs only the perm test — no binary search, no
-// boundary checks. An entry is valid iff page != nil.
+// boundary checks. An entry never filled has perm 0, so it fails every
+// perm test.
 type tlbEntry struct {
 	pn   uint64
 	page *[pageSize]byte
@@ -177,23 +178,27 @@ func (mem *Memory) fillTLB(addr uint64, r *Region) {
 
 // Read reads size (1/2/4/8) bytes at addr, zero-extended.
 func (mem *Memory) Read(addr uint64, size uint8) (uint64, *Fault) {
-	off := addr & (pageSize - 1)
-	if e := &mem.tlb[(addr>>pageShift)&tlbMask]; e.page != nil && e.pn == addr>>pageShift &&
-		e.perm&PermR != 0 && off+uint64(size) <= pageSize {
-		p := e.page
-		switch size {
-		case 8:
-			return binary.LittleEndian.Uint64(p[off : off+8]), nil
-		case 4:
-			return uint64(binary.LittleEndian.Uint32(p[off : off+4])), nil
-		case 2:
-			return uint64(binary.LittleEndian.Uint16(p[off : off+2])), nil
-		case 1:
-			return uint64(p[off]), nil
-		}
+	if v, ok := mem.readFast(addr, size); ok {
+		return v, nil
 	}
 	return mem.readSlow(addr, size)
 }
+
+// readFast is Read for a TLB hit whose 8-byte word at addr stays inside
+// the page: one 8-byte load, masked to size. It is small enough to
+// inline; ok=false leaves the access to readSlow, which gives the same
+// value or the fault.
+func (mem *Memory) readFast(addr uint64, size uint8) (v uint64, ok bool) {
+	e := &mem.tlb[(addr>>pageShift)&tlbMask]
+	if e.pn != addr>>pageShift || e.perm&PermR == 0 || addr&(pageSize-1) > pageSize-8 || size > 8 {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(e.page[addr&(pageSize-1):]) & sizeMask(size), true
+}
+
+// sizeMask is the mask of the low size bytes of a word (0 < size <= 8;
+// 0 for size 0).
+func sizeMask(size uint8) uint64 { return ^uint64(0) >> (64 - 8*uint(size)) }
 
 func (mem *Memory) readSlow(addr uint64, size uint8) (uint64, *Fault) {
 	r, f := mem.check(addr, uint64(size), PermR)
@@ -218,26 +223,23 @@ func (mem *Memory) readSlow(addr uint64, size uint8) (uint64, *Fault) {
 
 // Write writes the low size bytes of val at addr.
 func (mem *Memory) Write(addr uint64, size uint8, val uint64) *Fault {
-	off := addr & (pageSize - 1)
-	if e := &mem.tlb[(addr>>pageShift)&tlbMask]; e.page != nil && e.pn == addr>>pageShift &&
-		e.perm&PermW != 0 && off+uint64(size) <= pageSize {
-		p := e.page
-		switch size {
-		case 8:
-			binary.LittleEndian.PutUint64(p[off:off+8], val)
-			return nil
-		case 4:
-			binary.LittleEndian.PutUint32(p[off:off+4], uint32(val))
-			return nil
-		case 2:
-			binary.LittleEndian.PutUint16(p[off:off+2], uint16(val))
-			return nil
-		case 1:
-			p[off] = byte(val)
-			return nil
-		}
+	if mem.writeFast(addr, size, val) {
+		return nil
 	}
 	return mem.writeSlow(addr, size, val)
+}
+
+// writeFast is the mirror of readFast: it merges the low size bytes of
+// val into the 8-byte word at addr.
+func (mem *Memory) writeFast(addr uint64, size uint8, val uint64) bool {
+	e := &mem.tlb[(addr>>pageShift)&tlbMask]
+	if e.pn != addr>>pageShift || e.perm&PermW == 0 || addr&(pageSize-1) > pageSize-8 || size > 8 {
+		return false
+	}
+	p := e.page[addr&(pageSize-1):]
+	old := binary.LittleEndian.Uint64(p)
+	binary.LittleEndian.PutUint64(p, old^(old^val)&sizeMask(size))
+	return true
 }
 
 func (mem *Memory) writeSlow(addr uint64, size uint8, val uint64) *Fault {

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 )
 
@@ -85,6 +87,48 @@ func TestMisalignedAccessParity(t *testing.T) {
 		}
 		if cold != val || warm != val {
 			t.Fatalf("size %d: cold=%#x warm=%#x want %#x", size, cold, warm, val)
+		}
+	}
+}
+
+// TestFastPathMatchesSlowPath: with the page in the TLB, readFast and
+// writeFast serve every access whose 8-byte word stays in the page,
+// masking or merging that word. At every offset and size, Read and Write
+// must agree with readSlow and writeSlow on the value and on every byte
+// around the access, including the page's last 7 bytes, which the fast
+// path leaves to the slow path.
+func TestFastPathMatchesSlowPath(t *testing.T) {
+	const page = 0x101000
+	fast, slow := mappedMem(t), mappedMem(t)
+	rng := rand.New(rand.NewSource(1))
+	for _, size := range []uint8{1, 2, 4, 8} {
+		for off := uint64(0); off+uint64(size) <= pageSize; off++ {
+			addr, v := page+off, rng.Uint64()
+			if f := fast.Write(addr, size, v); f != nil {
+				t.Fatal(f)
+			}
+			if f := slow.writeSlow(addr, size, v); f != nil {
+				t.Fatal(f)
+			}
+			if _, ok := fast.readFast(addr, size); ok != (off <= pageSize-8) {
+				t.Fatalf("size %d off %#x: readFast ok=%v", size, off, ok)
+			}
+			got, f1 := fast.Read(addr, size)
+			want, f2 := slow.readSlow(addr, size)
+			if f1 != nil || f2 != nil || got != want {
+				t.Fatalf("size %d off %#x: Read=%#x (%v), readSlow=%#x (%v)", size, off, got, f1, want, f2)
+			}
+			lo := addr - 8
+			var a, b [24]byte
+			if err := fast.ReadBytes(lo, a[:]); err != nil {
+				t.Fatal(err)
+			}
+			if err := slow.ReadBytes(lo, b[:]); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a[:], b[:]) {
+				t.Fatalf("size %d off %#x: bytes around the write\nfast %x\nslow %x", size, off, a, b)
+			}
 		}
 	}
 }
