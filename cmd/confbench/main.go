@@ -3,13 +3,19 @@
 //
 // Usage:
 //
-//	confbench [-figure all|5|6|7|8|ldap|throughput|scenarios|faults|verify|cluster|latency|interp]
+//	confbench [-figure all|5|6|7|8|ldap|throughput|scenarios|faults|verify|latency|interp]
 //	          [-superblocks=true|false] [-parallel N]
 //	          [-seed N] [-short] [-list] [-profile FILE]
 //
 // Figures register in one place (figureRegistry); the -figure usage
 // string and the -list output derive from it, so the line above and the
 // flag help cannot drift from the real set.
+//
+// Figure 5 checks the claim it prints (§7.2): the geomean overheads must
+// order as MPX > Seg > 0 and CFI >= Bare, and every kernel must compute
+// the same outputs in all six columns. A broken check fails the figure
+// after its table is printed, so a regenerated golden file cannot pin a
+// broken ordering.
 //
 // The "scenarios" figure is the seeded traffic sweep: internal/scenario
 // expands a grid of (request multiplier x hit ratio) specs for the
@@ -21,9 +27,9 @@
 // availability, recovery latency and verify-gate rejections; it shares
 // the scenarios figure's determinism contract because the injector and
 // the simulated clock are the only randomness sources and both derive
-// from -seed. -short shrinks the scenarios, faults, verify, cluster and
-// latency grids to a smoke size and leaves Figures 5-8, ldap, throughput
-// and interp at full size; -list prints the known figures and registered
+// from -seed. -short shrinks the scenarios, faults, verify and latency
+// grids to a smoke size and leaves Figures 5-8, ldap, throughput and
+// interp at full size; -list prints the known figures and registered
 // workloads and exits.
 //
 // The "verify" figure turns the load gate itself into an evaluation
@@ -37,15 +43,6 @@
 // host time and carry a "(host)" marker so comparisons can strip them. A
 // mutation kill rate below 100% fails the figure: a surviving mutant is
 // a verifier soundness hole.
-//
-// The "cluster" figure lifts the single-machine assumption: a
-// deterministic router partitions the KV key space across 1/4/16 shard
-// machines (every shard serving through the same gate-verified binary),
-// client skew (uniform vs seeded zipf) stresses routing balance, and
-// cross-shard scans fan out into per-owner sub-requests. Shards run as
-// ordinary matrix cells; per-cluster rows merge their simulated clocks
-// with commutative folds (aggregate req/s = client requests over the
-// slowest shard), so the table inherits the full determinism contract.
 //
 // The "latency" figure is the observability plane's flagship table: the
 // KV scenario's per-request service times, measured at the trusted recv
@@ -84,12 +81,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"runtime"
+	"slices"
 
 	"confllvm"
 	"confllvm/internal/bench"
@@ -127,8 +126,7 @@ type figureSpec struct {
 var figureRegistry = []figureSpec{
 	{"5", fig5}, {"6", fig6}, {"ldap", ldap}, {"7", fig7}, {"8", fig8},
 	{"throughput", throughput}, {"scenarios", scenarios}, {"faults", faults},
-	{"verify", verifyFigure}, {"cluster", cluster}, {"latency", latencyFigure},
-	{"interp", interp},
+	{"verify", verifyFigure}, {"latency", latencyFigure}, {"interp", interp},
 }
 
 // figureNames renders the registry as the -figure usage enumeration.
@@ -159,7 +157,7 @@ func main() {
 	superblocks := flag.Bool("superblocks", true, "dispatch basic blocks (false = per-instruction stepping)")
 	parallel := flag.Int("parallel", 0, "worker goroutines for the bench matrix (0 = GOMAXPROCS, 1 = serial)")
 	seed := flag.Uint64("seed", scenario.DefaultSeed, "base seed of the scenario traffic engine")
-	short := flag.Bool("short", false, "shrink the scenarios, faults, verify, cluster and latency grids to a smoke size (Figures 5-8, ldap, throughput and interp stay full size)")
+	short := flag.Bool("short", false, "shrink the scenarios, faults, verify and latency grids to a smoke size (Figures 5-8, ldap, throughput and interp stay full size)")
 	list := flag.Bool("list", false, "print known figures and registered workloads, then exit")
 	profilePath := flag.String("profile", "", "enable cycle profiling and write the merged folded-stack profile of every cell to this file")
 	flag.Parse()
@@ -317,9 +315,47 @@ func fig5() ([]bench.Cell, renderFn) {
 			return err
 		}
 		printGeomeans(w, "geomean overheads", tbl)
-		return nil
+		return checkFig5(tbl, results)
 	}
 	return tableCells("fig5", rows, cols), render
+}
+
+// checkFig5 asserts the Fig. 5 claim on the cells the figure rendered:
+// the geomean overhead ordering (MPX > Seg, MPX > 0, Seg > 0, CFI >=
+// Bare, all from tbl) and that instrumentation never changes what a
+// kernel computes (every column's outputs equal Base's).
+func checkFig5(tbl *bench.Table, results []bench.CellResult) error {
+	bare := tbl.GeoMeanOverhead(confllvm.VariantBare)
+	cfi := tbl.GeoMeanOverhead(confllvm.VariantCFI)
+	mpx := tbl.GeoMeanOverhead(confllvm.VariantMPX)
+	seg := tbl.GeoMeanOverhead(confllvm.VariantSeg)
+	var errs []error
+	for _, c := range []struct {
+		holds bool
+		claim string
+	}{{mpx > seg, "MPX > Seg"}, {mpx > 0, "MPX > 0"}, {seg > 0, "Seg > 0"}, {cfi >= bare, "CFI >= Bare"}} {
+		if !c.holds {
+			errs = append(errs, fmt.Errorf("geomean overheads break %s (Bare=%.1f%% CFI=%.1f%% MPX=%.1f%% Seg=%.1f%%)",
+				c.claim, bare, cfi, mpx, seg))
+		}
+	}
+	base := map[string][]int64{}
+	for _, r := range results {
+		if r.Cell.Variant == confllvm.VariantBase {
+			base[r.Cell.Row] = r.M.Outputs
+		}
+	}
+	for _, r := range results {
+		want := base[r.Cell.Row]
+		switch {
+		case r.Cell.Variant == confllvm.VariantBase && len(want) == 0:
+			errs = append(errs, fmt.Errorf("%s: Base produced no outputs", r.Cell.Row))
+		case !slices.Equal(r.M.Outputs, want):
+			errs = append(errs, fmt.Errorf("%s: %v outputs %v differ from Base %v (instrumentation changed semantics)",
+				r.Cell.Row, r.Cell.Variant, r.M.Outputs, want))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 func fig6() ([]bench.Cell, renderFn) {
@@ -526,54 +562,6 @@ func verifyFigure() ([]bench.Cell, renderFn) {
 	return cells, render
 }
 
-// cluster is the sharded-cluster figure: the confidential KV store's key
-// space partitioned across {1, 4, 16} machines, swept over request
-// multipliers (1x/10x/100x) and client key skews (uniform, zipf). The
-// deterministic router in internal/scenario splits one seeded client
-// stream into per-shard streams (cross-shard scans fan out into per-owner
-// sub-requests) and predicts each shard's output vector; every shard then
-// runs as an ordinary matrix cell on the shared verified artifact, and
-// the render merges each cluster's shard measurements with commutative
-// clock folds — aggregate req/s is client requests over the slowest
-// shard, and the min/max columns show routing balance. Every printed
-// value is a simulated quantity: the table is byte-identical across
-// -parallel and -superblocks settings and is pinned by a golden file.
-func cluster() ([]bench.Cell, renderFn) {
-	const v = confllvm.VariantMPX // the deployable, verifiable configuration
-	cts := bench.ClusterTraffics(scenario.ClusterGrid(shortGrid, scenarioSeed))
-	cells := bench.ClusterCells("cluster", cts, v, &mcfg)
-	render := func(w io.Writer, results []bench.CellResult) error {
-		fmt.Fprintf(w, "Cluster: sharded confidential KV store, aggregate req/s at a %.1f GHz simulated clock (%v, seed %d)\n",
-			float64(bench.SimClockHz)/1e9, v, scenarioSeed)
-		fmt.Fprintf(w, "%-18s %3s %6s %10s %13s %23s %7s %7s\n",
-			"cluster", "sh", "reqs", "agg-req/s", "shard-reqs", "shard-cycles", "splits", "xscans")
-		idx := 0
-		for _, ct := range cts {
-			ms := make([]*bench.Measurement, ct.Spec.Shards)
-			for sh := range ms {
-				r := results[idx]
-				idx++
-				if r.Err != nil {
-					return r.Err
-				}
-				ms[sh] = r.M
-			}
-			rep, err := bench.MergeShardClocks(ct, ms)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%-18s %3d %6d %10d %5d/%-7d %11d/%-11d %7d %7d\n",
-				ct.Spec.Name, rep.Shards, rep.ClientRequests, rep.AggReqsPerSec(),
-				rep.MinShardReqs, rep.MaxShardReqs,
-				rep.MinShardCycles, rep.MaxShardCycles,
-				rep.ScanSplits, rep.CrossScans)
-		}
-		fmt.Fprintln(w)
-		return nil
-	}
-	return cells, render
-}
-
 // latencyFigure is the open-loop latency figure: the confidential KV
 // store's per-request service times (measured at the trusted recv
 // boundary in simulated cycles) replayed through a deterministic FIFO
@@ -582,8 +570,8 @@ func cluster() ([]bench.Cell, renderFn) {
 // byte-identical across -parallel and -superblocks and is pinned by a
 // golden file — and the arrival streams derive from -seed, so the figure is one
 // deterministic function of the flag set. The aggregate line merges
-// every row's metric registry commutatively (internal/obs), the same
-// discipline the cluster figure uses for shard clocks.
+// every row's metric registry commutatively (internal/obs), so it does
+// not depend on the order the cells completed in.
 func latencyFigure() ([]bench.Cell, renderFn) {
 	const v = confllvm.VariantMPX // the deployable, verifiable configuration
 	sweeps := bench.LatencyGrid(shortGrid, scenarioSeed)

@@ -3,11 +3,17 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
+
+	"confllvm"
+	"confllvm/internal/bench"
 )
 
 // hostTimedFigure is the one registered figure whose table measures host
@@ -74,7 +80,7 @@ func TestFigureRegistryComplete(t *testing.T) {
 			t.Fatalf("figure %q missing from the derived usage string %q", f.name, names)
 		}
 	}
-	for _, required := range []string{"scenarios", "faults", "verify", "cluster", "latency", "interp"} {
+	for _, required := range []string{"scenarios", "faults", "verify", "latency", "interp"} {
 		if !seen[required] {
 			t.Fatalf("figure %q (driven by CI) is not registered", required)
 		}
@@ -147,5 +153,100 @@ func TestFiguresForUnknown(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "fig99") {
 		t.Fatalf("error %q does not name the bad figure", err)
+	}
+}
+
+// pinnedFig5 reads the cycle counts testdata/5.golden pins, keyed by
+// kernel and column header (the variant name): each cell's percent of
+// Base times the row's absolute Base(cyc).
+func pinnedFig5(t *testing.T) map[string]map[string]uint64 {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath("5"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(data), "\n")
+	header := strings.Fields(lines[1]) // workload, the variants, Base(cyc)
+	cols := header[1 : len(header)-1]
+	walls := map[string]map[string]uint64{}
+	for _, line := range lines[2:] {
+		f := strings.Fields(line)
+		if len(f) != len(header) {
+			break // blank line before the geomean footer
+		}
+		base, err := strconv.ParseFloat(f[len(f)-1], 64)
+		if err != nil {
+			t.Fatalf("5.golden: %q: %v", line, err)
+		}
+		walls[f[0]] = map[string]uint64{}
+		for i, col := range cols {
+			pct, err := strconv.ParseFloat(strings.TrimSuffix(f[1+i], "%"), 64)
+			if err != nil {
+				t.Fatalf("5.golden: %q: %v", line, err)
+			}
+			walls[f[0]][col] = uint64(math.Round(base * pct / 100))
+		}
+	}
+	return walls
+}
+
+// TestFig5ChecksItsClaim feeds the fig5 render fabricated cells built
+// from the pinned Figure 5. The pinned shape must render cleanly; a
+// broken geomean ordering or one kernel whose outputs change under one
+// variant must fail the figure with an error naming what broke.
+func TestFig5ChecksItsClaim(t *testing.T) {
+	pinned := pinnedFig5(t)
+	cases := []struct {
+		name string
+		edit func(r bench.CellResult)
+		want []string // substrings of the error; nil = no error
+	}{
+		{"pinned shape", func(bench.CellResult) {}, nil},
+		{"MPX no costlier than Seg", func(r bench.CellResult) {
+			if r.Cell.Variant == confllvm.VariantMPX {
+				r.M.Wall = pinned[r.Cell.Row][confllvm.VariantSeg.String()]
+			}
+		}, []string{"MPX > Seg"}},
+		{"CFI cheaper than Bare", func(r bench.CellResult) {
+			if r.Cell.Variant == confllvm.VariantCFI {
+				r.M.Wall = pinned[r.Cell.Row][confllvm.VariantBase.String()]
+			}
+		}, []string{"CFI >= Bare"}},
+		{"one kernel's outputs differ in one variant", func(r bench.CellResult) {
+			if r.Cell.Row == "mcf" && r.Cell.Variant == confllvm.VariantSeg {
+				r.M.Outputs[1]++
+			}
+		}, []string{"mcf", "OurSeg"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cells, render := fig5()
+			results := make([]bench.CellResult, len(cells))
+			for i := range cells {
+				c := &cells[i]
+				wall, ok := pinned[c.Row][c.Variant.String()]
+				if !ok {
+					t.Fatalf("5.golden pins no %s/%v cell", c.Row, c.Variant)
+				}
+				results[i] = bench.CellResult{Cell: c, M: &bench.Measurement{
+					Variant: c.Variant, Wall: wall, Outputs: []int64{int64(len(c.Row)), 7, -1}}}
+				tc.edit(results[i])
+			}
+			err := render(io.Discard, results)
+			if tc.want == nil {
+				if err != nil {
+					t.Fatalf("pinned Figure 5 failed its own check: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("fig5 render accepted a broken Figure 5 (want an error naming %q)", tc.want)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("error %q does not name %q", err, w)
+				}
+			}
+		})
 	}
 }

@@ -63,42 +63,6 @@ func DefaultMerkleFS(short bool) Spec {
 	return s
 }
 
-// ClusterGrid is the -figure cluster sweep: request-count multipliers
-// crossed with shard counts and client key skews for the confidential KV
-// store. The full grid covers 1x/10x/100x at {1, 4, 16} shards under
-// {uniform, zipf} skew; short shrinks it to a smoke-sized grid with the
-// same shape. Every cell derives its own seed from the base seed and its
-// grid coordinates — note the skew is folded in too, so the uniform and
-// zipf columns are independent streams, not one stream reshaped.
-func ClusterGrid(short bool, seed uint64) []Spec {
-	mults := []int{1, 10, 100}
-	shards := []int{1, 4, 16}
-	kvReqs := 30
-	if short {
-		mults = []int{1, 4}
-		shards = []int{1, 4}
-		kvReqs = 8
-	}
-	var specs []Spec
-	for _, m := range mults {
-		for _, sh := range shards {
-			for si, skew := range []string{SkewUniform, SkewZipf} {
-				specs = append(specs, Spec{
-					Name:     fmt.Sprintf("kv-x%03d-s%02d-%s", m, sh, skew[:3]),
-					Workload: WorkloadKV,
-					Seed:     mix(seed, 0x636c, uint64(m), uint64(sh), uint64(si)),
-					Requests: kvReqs, Multiplier: m, Clients: 2,
-					KeySpace: 256, Preload: 32, HitPct: 50,
-					GetPct: 55, PutPct: 25, DelPct: 5,
-					ValueMin: 8, ValueMax: 96, ScanSpan: 24,
-					Skew: skew, Shards: sh,
-				})
-			}
-		}
-	}
-	return specs
-}
-
 // FigureGrid is the -figure scenarios sweep: request-count multipliers
 // crossed with hit/resumption ratios for both workload families. The full
 // grid covers 1x/10x/100x at hit ratios 0/50/90; short shrinks it to a

@@ -104,8 +104,7 @@ func kvTraffic(s Spec) ([][]byte, []int64) {
 	}
 
 	// Preload: distinct keys via linear probing (Preload <= KeySpace/2,
-	// so the probe always terminates). The fill is always uniform — skew
-	// shapes the measured mix, not the warm store.
+	// so the probe always terminates).
 	pr := newRNG(mix(s.Seed, 2))
 	for i := 0; i < s.Preload; i++ {
 		key := pr.intn(s.KeySpace)
@@ -130,11 +129,11 @@ func kvTraffic(s Spec) ([][]byte, []int64) {
 				emit2(OpGet, key, 0)
 				hits++
 			} else {
-				emit2(OpGet, missKey(s, s.drawKey(r)), 0)
+				emit2(OpGet, missKey(s, r.intn(s.KeySpace)), 0)
 				misses++
 			}
 		case roll < s.GetPct+s.PutPct:
-			emitPut(r, s.drawKey(r))
+			emitPut(r, r.intn(s.KeySpace))
 		case roll < s.GetPct+s.PutPct+s.DelPct:
 			if len(model.keys) > 0 {
 				key := model.keys[r.intn(uint64(len(model.keys)))]
@@ -142,10 +141,10 @@ func kvTraffic(s Spec) ([][]byte, []int64) {
 				emit2(OpDel, key, 0)
 				delhits++
 			} else {
-				emit2(OpDel, missKey(s, s.drawKey(r)), 0)
+				emit2(OpDel, missKey(s, r.intn(s.KeySpace)), 0)
 			}
 		default:
-			start := s.drawKey(r)
+			start := r.intn(s.KeySpace)
 			for k := start; k < start+s.ScanSpan; k++ {
 				if _, ok := model.index[k]; ok {
 					scanhits++

@@ -104,7 +104,7 @@ func mfsTraffic(s Spec) ([][]byte, []int64) {
 	for n := 0; n < total; n++ {
 		r := rngs[n%s.Clients]
 		if int(r.intn(100)) < s.PutPct {
-			emitWrite(r, s.drawKey(r))
+			emitWrite(r, r.intn(s.KeySpace))
 			continue
 		}
 		// Target the hit ratio: hits draw from the written set, misses
@@ -113,7 +113,7 @@ func mfsTraffic(s Spec) ([][]byte, []int64) {
 		if int(r.intn(100)) < s.HitPct && len(order) > 0 {
 			emitRead(order[r.intn(uint64(len(order)))])
 		} else if len(order) < int(s.KeySpace) {
-			blk := s.drawKey(r)
+			blk := r.intn(s.KeySpace)
 			for written[blk] {
 				blk = (blk + 1) % s.KeySpace
 			}

@@ -36,34 +36,6 @@ const (
 	WorkloadMerkleFS = "merklefs"
 )
 
-// Client key-popularity distributions understood by the KV-family
-// generators. The empty string means SkewUniform.
-const (
-	// SkewUniform draws keys uniformly from the key space (the default;
-	// byte-identical to the pre-skew streams).
-	SkewUniform = "uniform"
-	// SkewZipf is a zipf-like power law: a geometric level (counting
-	// trailing zero bits of one splitmix64 draw, integer-only — never
-	// floats, so streams cannot drift across hosts) halves the candidate
-	// prefix, concentrating traffic on low keys.
-	SkewZipf = "zipf"
-	// SkewHot sends hotTrafficPct percent of draws to the first
-	// hotSetSize keys and the rest uniform — the cache-adversarial
-	// hot-key shape.
-	SkewHot = "hot"
-)
-
-const (
-	// hotSetSize is the number of distinct keys in the SkewHot hot set
-	// (the lowest keys of the space).
-	hotSetSize = 8
-	// hotTrafficPct is the share of SkewHot draws aimed at the hot set.
-	hotTrafficPct = 90
-	// zipfMaxLevel caps the geometric level of SkewZipf draws so the
-	// candidate prefix never collapses below a single key.
-	zipfMaxLevel = 16
-)
-
 // MaxValueLen is the largest value a KV request may carry; it must match
 // the MAXV capacity of the miniC store's private value buffers.
 const MaxValueLen = 128
@@ -104,18 +76,6 @@ type Spec struct {
 	ValueMin, ValueMax int
 	// ScanSpan is the key width of one scan request.
 	ScanSpan uint64
-
-	// Skew selects the key-popularity distribution for the KV-family
-	// generators: SkewUniform (also the "" default), SkewZipf or SkewHot.
-	// Uniform consumes exactly one RNG draw per key, so the default
-	// streams are byte-identical to the pre-skew engine.
-	Skew string
-	// Shards is the simulated cluster width consumed by Cluster: the
-	// router partitions the key space into Shards contiguous blocks, one
-	// per machine. 0 and 1 both mean a single machine; Traffic ignores
-	// the field entirely (a spec's single-machine stream never depends on
-	// how a cluster would split it).
-	Shards int
 }
 
 // normalized fills defaulted fields and clamps the ones with hard limits.
@@ -134,12 +94,6 @@ func (s Spec) normalized() Spec {
 	}
 	if s.HitPct > 100 {
 		s.HitPct = 100
-	}
-	if s.Skew == "" {
-		s.Skew = SkewUniform
-	}
-	if s.Shards < 1 {
-		s.Shards = 1
 	}
 	if s.Workload == WorkloadMerkleFS {
 		if s.KeySpace == 0 || s.KeySpace > MFSBlocks {
@@ -228,9 +182,6 @@ func (s Spec) TotalRequests() int {
 //	WorkloadTLSH:     [done, fullHandshakes, resumedHandshakes, transcript]
 //	WorkloadMerkleFS: [processed, writes, readHits, readMisses, rootAcc, readAcc]
 func Traffic(s Spec) (wire [][]byte, expect []int64, err error) {
-	if err := s.validSkew(); err != nil {
-		return nil, nil, err
-	}
 	switch s.Workload {
 	case WorkloadKV:
 		wire, expect = kvTraffic(s.normalized())
@@ -245,62 +196,6 @@ func Traffic(s Spec) (wire [][]byte, expect []int64, err error) {
 		return nil, nil, fmt.Errorf("scenario: unknown workload family %q (want %q, %q or %q)",
 			s.Workload, WorkloadKV, WorkloadTLSH, WorkloadMerkleFS)
 	}
-}
-
-// validSkew rejects unknown skew names before any stream is emitted: a
-// typo silently falling back to uniform would quietly change what a grid
-// cell measures.
-func (s Spec) validSkew() error {
-	switch s.Skew {
-	case "", SkewUniform, SkewZipf, SkewHot:
-		return nil
-	}
-	return fmt.Errorf("scenario: unknown key skew %q (want %q, %q or %q)",
-		s.Skew, SkewUniform, SkewZipf, SkewHot)
-}
-
-// drawKey draws one key from [0, KeySpace) under the spec's skew. The
-// uniform path consumes exactly one RNG value — the same draw the
-// pre-skew engine made — so Skew's zero value leaves every existing
-// stream byte-identical.
-func (s Spec) drawKey(r *rng) uint64 {
-	switch s.Skew {
-	case SkewZipf:
-		l := trailingZeros(r.next())
-		if l > zipfMaxLevel {
-			l = zipfMaxLevel
-		}
-		space := s.KeySpace >> uint(l)
-		if space == 0 {
-			space = 1
-		}
-		return r.intn(space)
-	case SkewHot:
-		hot := uint64(hotSetSize)
-		if hot > s.KeySpace {
-			hot = s.KeySpace
-		}
-		if r.intn(100) < hotTrafficPct {
-			return r.intn(hot)
-		}
-		return r.intn(s.KeySpace)
-	default:
-		return r.intn(s.KeySpace)
-	}
-}
-
-// trailingZeros counts trailing zero bits (64 for zero) without pulling
-// math/bits into the stream definition — the loop is the spec.
-func trailingZeros(v uint64) int {
-	if v == 0 {
-		return 64
-	}
-	n := 0
-	for v&1 == 0 {
-		v >>= 1
-		n++
-	}
-	return n
 }
 
 // ---- Deterministic randomness ----
