@@ -14,6 +14,7 @@ import (
 
 	"confllvm"
 	"confllvm/internal/bench"
+	"confllvm/internal/scenario"
 )
 
 var (
@@ -227,6 +228,39 @@ func BenchmarkVerify(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := confllvm.Verify(art); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// ---- Cold-machine path: one served request on a fresh machine ----
+
+// BenchmarkServeRequest is one kv request served the way perfbench's
+// serve workload serves it: Prepare plus Finish on a fresh machine, from
+// an Artifact every iteration shares. It covers the per-machine cost a
+// request pays — load, attaching the shared decoded code, building the
+// runs the shared code lacks — which the ./internal/machine benchmarks,
+// all on warm machines, do not. Run it with -benchmem.
+func BenchmarkServeRequest(b *testing.B) {
+	s := scenario.DefaultKV(true)
+	s.Requests, s.Clients, s.Preload = 1, 1, 0
+	wl := bench.ScenarioWorkload(s)
+	art, err := confllvm.Compile(wl.Prog(confllvm.VariantSeg), confllvm.VariantSeg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		w := wl.World()
+		b.StartTimer()
+		p, err := confllvm.Prepare(art, w, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res := p.Finish()
+		if err := wl.Check(res); err != nil {
 			b.Fatal(err)
 		}
 	}

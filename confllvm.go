@@ -166,6 +166,10 @@ type Artifact struct {
 	Warnings []string
 	// IR is retained for inspection and tests.
 	IR *ir.Module
+
+	// code is the image's decoded code, built by the first Prepare and
+	// shared read-only by the machines of every later one.
+	code loader.Code
 }
 
 // Verify runs ConfVerify on a compiled artifact: it re-checks the linked
@@ -356,7 +360,7 @@ func prepareWith(art *Artifact, w *World, mconf *machine.Config) (*prepared, err
 		ctx.Register(name, h)
 	}
 
-	m, err := loader.Load(img, ctx.Handlers(), mc)
+	m, err := loader.Load(img, ctx.Handlers(), mc, &art.code)
 	if err != nil {
 		return nil, err
 	}
@@ -379,8 +383,10 @@ func prepareWith(art *Artifact, w *World, mconf *machine.Config) (*prepared, err
 // Run's load phase, exported so callers can intervene between load and
 // execution — the chaos supervisor corrupts a code page with
 // Memory.WriteBytesUnchecked to model a runtime bit-flip, and white-box
-// tests poke at registers or memory. The artifact itself is never
-// mutated; the machine owns copies of the image bytes.
+// tests poke at registers or memory. The machine owns copies of the
+// image bytes; the only state the artifact keeps is the decoded code its
+// machines share, which a machine stops using as soon as its own code
+// bytes are patched, so an intervention never reaches another machine.
 type Prepared struct {
 	p *prepared
 }

@@ -7,9 +7,9 @@ package loader
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"confllvm/internal/asm"
-	"confllvm/internal/codegen"
 	"confllvm/internal/link"
 	"confllvm/internal/machine"
 )
@@ -26,9 +26,22 @@ func HandlerAddr(l link.Layout, i int) uint64 {
 	return l.TBase + 0x10000 + uint64(i)*0x100
 }
 
+// Code is the decoded code of one image, shared by every machine Load
+// builds from that image with it: the first such Load snapshots its
+// freshly loaded code region, and each later one attaches the snapshot
+// instead of building a private one. The zero value is ready to use and
+// it is safe for concurrent Loads.
+type Code struct {
+	once sync.Once
+	c    *machine.SharedCode
+}
+
 // Load builds a machine, maps all regions, installs the image and binds
-// the externals table to the given trusted handlers.
-func Load(img *link.Image, handlers map[string]machine.Handler, mconf machine.Config) (*machine.Machine, error) {
+// the externals table to the given trusted handlers. With a non-nil code,
+// the machine executes through code's shared decoded code when its code
+// region, code bytes and trusted-handler range match the ones code was
+// built from, and through a private trace otherwise.
+func Load(img *link.Image, handlers map[string]machine.Handler, mconf machine.Config, code *Code) (*machine.Machine, error) {
 	m := machine.New(mconf)
 	l := img.Layout
 
@@ -84,9 +97,17 @@ func Load(img *link.Image, handlers map[string]machine.Handler, mconf machine.Co
 			return nil, f
 		}
 	}
-	// Register the code region for decode tracing now that every image
-	// byte is in place (unchecked writes flush existing traces, so this
-	// must come last). Decode itself stays lazy, per PC.
+	// Attach or register the code region's decode trace now that every
+	// image byte and handler is in place (unchecked writes and handler
+	// range changes drop traces, so this must come last). Decode itself
+	// stays lazy, per block.
+	m.RefreshHandlers()
+	if code != nil {
+		code.once.Do(func() { code.c, _ = m.ShareCode(l.CodeBase) })
+		if code.c != nil && m.AttachCode(code.c) {
+			return m, nil
+		}
+	}
 	if f := m.RegisterCode(l.CodeBase); f != nil {
 		return nil, f
 	}
@@ -144,14 +165,3 @@ func Start(m *machine.Machine, img *link.Image) (*machine.Thread, error) {
 	}
 	return SpawnThread(m, img, main, 0)
 }
-
-// BndFor returns the MPX bound register index for a region taint (used by
-// tests and the verifier's documentation).
-func BndFor(private bool) asm.Bnd {
-	if private {
-		return asm.BND1
-	}
-	return asm.BND0
-}
-
-var _ = codegen.Config{}

@@ -40,7 +40,7 @@ func load(t *testing.T, art *confllvm.Artifact) *machine.Machine {
 	for _, name := range art.Image.Externals {
 		handlers[name] = func(m *machine.Machine, th *machine.Thread) *machine.Fault { return nil }
 	}
-	m, err := loader.Load(art.Image, handlers, machine.DefaultConfig())
+	m, err := loader.Load(art.Image, handlers, machine.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestExternalsBinding(t *testing.T) {
 		}
 	}
 	// Missing handlers must be a load-time error, not a runtime surprise.
-	if _, err := loader.Load(img, map[string]machine.Handler{}, machine.DefaultConfig()); err == nil {
+	if _, err := loader.Load(img, map[string]machine.Handler{}, machine.DefaultConfig(), nil); err == nil {
 		t.Error("Load succeeded with no handlers for the image's externals")
 	}
 }
@@ -210,5 +210,50 @@ func TestSpawnThreadState(t *testing.T) {
 		if want := int(l.StackArea / l.ThreadStack); spawned != want {
 			t.Errorf("[%v] spawned %d threads before exhaustion, want %d", v, spawned, want)
 		}
+	}
+}
+
+// TestLoadSharesCode: machines loaded from one image with one Code run on
+// the same decoded code, and a Code never attaches to a machine whose
+// code bytes differ from the ones it was built from — here the same
+// program linked with another magic-prefix seed, which lays out the same
+// code region — which falls back to a private trace.
+func TestLoadSharesCode(t *testing.T) {
+	build := func(seed int64) *confllvm.Artifact {
+		art, err := confllvm.Compile(confllvm.Program{
+			Sources: []confllvm.Source{{Name: "tiny.c", Code: tinySrc}}, Seed: seed,
+		}, confllvm.VariantMPX)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return art
+	}
+	a, b := build(1), build(2)
+	if len(a.Image.Code) != len(b.Image.Code) || bytes.Equal(a.Image.Code, b.Image.Code) ||
+		a.Image.Layout.CodeBase != b.Image.Layout.CodeBase {
+		t.Fatal("the two seeds must give one code layout with different bytes")
+	}
+	var code loader.Code
+	var cs []machine.SharedCode
+	for _, art := range []*confllvm.Artifact{a, a, b} {
+		hs := map[string]machine.Handler{}
+		for _, name := range art.Image.Externals {
+			hs[name] = func(m *machine.Machine, th *machine.Thread) *machine.Fault { return nil }
+		}
+		m, err := loader.Load(art.Image, hs, machine.DefaultConfig(), &code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, f := m.ShareCode(art.Image.Layout.CodeBase)
+		if f != nil {
+			t.Fatal(f)
+		}
+		cs = append(cs, *c)
+	}
+	if cs[0] != cs[1] {
+		t.Fatal("two loads of one image with one Code do not share decoded code")
+	}
+	if cs[2] == cs[0] {
+		t.Fatal("a Code built from one image was attached to a machine holding other code bytes")
 	}
 }

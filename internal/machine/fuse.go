@@ -35,7 +35,8 @@ import (
 //   - A fuel or quantum bite whose boundary falls strictly inside a
 //     fused slot makes execRun walk run.insts[:nb] (the raw constituent
 //     prefix) instead of the fused program — the resume PC, cycle charge
-//     and instruction count are those of the unfused walk.
+//     and instruction count are those of the unfused walk — and the
+//     resumed remainder walks the raw run.insts[nb:] too.
 //   - A fault on constituent i of a fused slot advances k only past the
 //     i clean constituents plus the faulting one, so the fault's PC
 //     (run.pcs[k-1]), its cycle stamp (cum charges exclude the faulting
@@ -47,9 +48,9 @@ import (
 // length by block dispatch before fusion decisions matter, so a prior
 // Step at a hot PC cannot change Run's fusion. Invalidation needs no
 // new machinery: fused programs live inside blockRuns, so code patches
-// (flushTraces) and handler-range changes (flushBlocks) discard them
-// with the runs, and a rebuilt block that now ends at a handler-range
-// boundary simply never fuses across it.
+// and handler-range changes (flushTraces) discard them with the runs,
+// and a rebuilt block that now ends at a handler-range boundary simply
+// never fuses across it.
 
 // fuseKind enumerates the recognized idioms. The order must match the
 // synthetic opcode block below (fuseOpFor adds the kind to the base).

@@ -89,6 +89,9 @@ func fusePrograms() []fuseProgram {
 // each slot across the first two loop iterations (including both bite
 // positions strictly inside each fused slot); the quantum-straddling
 // fuels catch bites induced by scheduling boundaries deep into the run.
+// Every cut is then resumed for another 2*body+4 instructions, so the
+// bitten run continues in place from each of its slots — and is bitten
+// again at each slot — and must stay stepping-identical.
 func TestFuseBiteMatrix(t *testing.T) {
 	for _, p := range fusePrograms() {
 		p := p
@@ -102,7 +105,7 @@ func TestFuseBiteMatrix(t *testing.T) {
 			}
 			fuels = append(fuels, 1023, 1024, 1025, 4097)
 			for _, fuel := range fuels {
-				runParity(t, insts, fuel, p.setup)
+				runParityResumed(t, insts, fuel, uint64(sweep), p.setup)
 			}
 		})
 	}
@@ -220,7 +223,7 @@ func TestFuseSlotProgram(t *testing.T) {
 	var loopStart uint64 = 0x1000
 	loopStart += uint64(encodeLen(insts[0]) + encodeLen(insts[1]))
 	tr := m.traces[0]
-	run := tr.runs[loopStart-tr.lo]
+	run := tr.runs[loopStart-tr.lo].Load()
 	if run == nil || run.xinsts == nil {
 		t.Fatalf("loop body run not fused: %+v", run)
 	}
@@ -341,7 +344,7 @@ func TestStepNeverCachesFusedSlots(t *testing.T) {
 	}
 	tr := m.traces[0]
 	off := uint64(loopStart) - tr.lo
-	run := tr.runs[off]
+	run := tr.runs[off].Load()
 	if run == nil || !run.short || run.n != 1 {
 		t.Fatalf("expected a cached one-slot short run at the loop head, got %+v", run)
 	}
@@ -352,7 +355,7 @@ func TestStepNeverCachesFusedSlots(t *testing.T) {
 	if f := m.Run(); f != nil {
 		t.Fatal(f)
 	}
-	run = tr.runs[off]
+	run = tr.runs[off].Load()
 	if run == nil || run.short || run.n < 4 {
 		t.Fatalf("block dispatch did not rebuild the short run at full length: %+v", run)
 	}
@@ -366,9 +369,10 @@ func TestStepNeverCachesFusedSlots(t *testing.T) {
 
 // TestHandlerRegistrationInsideFusedIdiom: a trusted handler registered
 // mid-run at the PC of an interior constituent of a fused idiom (the cmp
-// of a fused sub/cmp/jcc loop head) must flush and de-fuse the block so
-// the handler is dispatched — under stepping and superblocks, with
-// identical state.
+// of a fused sub/cmp/jcc loop head) must drop the trace and de-fuse the
+// block so the handler is dispatched — under stepping and superblocks,
+// with identical state — and must not reach a second machine sharing
+// the trace.
 func TestHandlerRegistrationInsideFusedIdiom(t *testing.T) {
 	subLen := encodeLen(asm.Inst{Op: asm.OpSubRI, Dst: asm.RCX, Imm: 1})
 	cmpLen := encodeLen(asm.Inst{Op: asm.OpCmpRI, Dst: asm.RCX, Imm: 0})
@@ -420,6 +424,8 @@ func TestHandlerRegistrationInsideFusedIdiom(t *testing.T) {
 		t.Fatalf("state mismatch after handler registration inside a fused idiom:\nstepwise:   %+v\nsuperblock: %+v",
 			thA.Stats, thB.Stats)
 	}
+	checkSharedIsolation(t, func() (*Machine, *Thread) { return mk(DefaultConfig()) },
+		func() (*Machine, *Thread) { return chainLoopWithHandler(t, DefaultConfig(), 8, plainHandler) }, thA)
 }
 
 // TestFusedModesProfileString is a cheap guard that the synthetic opcodes

@@ -87,6 +87,13 @@ type Thread struct {
 	fpCredit int
 	l1       *cache
 
+	// resume, resumeK is where the last fuel or quantum bite stopped the
+	// thread: slot resumeK of run, whose PC the thread was left at. The
+	// next block dispatch at that PC continues the run from there (see
+	// stepBlocks); nil when there is none.
+	resume  *blockRun
+	resumeK int
+
 	m *Machine
 }
 
@@ -147,8 +154,9 @@ type Machine struct {
 
 	fuel uint64
 
-	// traces holds one decoded-trace cache per executable region (see
-	// trace.go); lastTrace memoizes the region the PC last executed in.
+	// traces holds the decode trace of each executable region the machine
+	// has fetched from, private or shared (see trace.go); lastTrace
+	// memoizes the region the PC last executed in.
 	traces    []*codeTrace
 	lastTrace *codeTrace
 
@@ -188,13 +196,13 @@ func New(conf Config) *Machine {
 func (m *Machine) RefreshHandlers() { m.rebuildHandlerIndex() }
 
 // rebuildHandlerIndex recomputes the [hndLo, hndHi] PC range covering all
-// registered trusted handlers. When the range changes, superblock metadata
-// is flushed: blocks are built to never span a PC inside the handler
-// range, so a changed range may invalidate existing block boundaries (the
-// decoded instructions themselves stay valid — handler-set changes move
-// dispatch points, not code bytes).
+// registered trusted handlers. When the range changes, the decode traces
+// are dropped: their runs are built to never span a PC inside the range
+// they were built for, so a changed range may invalidate block boundaries
+// and chain links. Which handlers lie inside the range does not matter
+// to a run — the dispatcher probes the map at every PC in the range.
 func (m *Machine) rebuildHandlerIndex() {
-	oldLo, oldHi, oldN := m.hndLo, m.hndHi, m.nHandlers
+	oldLo, oldHi := m.hndLo, m.hndHi
 	m.nHandlers = len(m.Handlers)
 	m.hndLo, m.hndHi = ^uint64(0), 0
 	for a := range m.Handlers {
@@ -205,8 +213,8 @@ func (m *Machine) rebuildHandlerIndex() {
 			m.hndHi = a
 		}
 	}
-	if m.hndLo != oldLo || m.hndHi != oldHi || m.nHandlers != oldN {
-		m.flushBlocks()
+	if m.hndLo != oldLo || m.hndHi != oldHi {
+		m.flushTraces()
 	}
 }
 
@@ -458,28 +466,28 @@ func (t *Thread) Step() *Fault {
 		m.lastTrace = tr
 	}
 	off := t.PC - tr.lo
-	run := tr.runs[off]
+	run := tr.runs[off].Load()
 	if run == nil {
 		var f *Fault
-		if run, f = tr.buildBlock(m, off, 1); f != nil {
+		if run, f = tr.buildBlock(off, 1); f != nil {
 			return t.fault(f)
 		}
 	}
-	_, f := t.execRun(run, tr, 1)
+	_, f := t.execRun(run, 0, tr, 1)
 	return f
 }
 
-// execRun executes up to max instructions starting at run's entry slot,
-// then — with budget remaining — follows the run's cached
+// execRun executes up to max instructions starting at run's slot k0 (0
+// for an entry; a bite-resume point otherwise), then — with budget
+// remaining — follows the run's cached
 // successor links (resolving them on first use) so hot loops execute
 // run-to-run without returning through the dispatcher. Every run is a
 // flattened superblock (see superblock.go): slot k's instruction is
 // insts[k], its PC is pcs[k] and its fall-through PC is pcs[k+1], so the
-// interior pays no lens[] walk — in fact no per-instruction PC work at
-// all: only control-flow ops consult pcs, a faulting instruction's PC is
-// reconstructed from its slot index (run.pcs[k-1]) after the loop, and
-// the resume PC of a completed run is either the terminator's redirect
-// or the fall-through pcs[k].
+// interior pays no per-instruction PC work at all: only control-flow ops
+// consult pcs, a faulting instruction's PC is reconstructed from its slot
+// index (run.pcs[k-1]) after the loop, and the resume PC of a completed
+// run is either the terminator's redirect or the fall-through pcs[k].
 //
 // The instruction count is recovered from the slot count on exit and the
 // Cycles counter is kept in a local, written back only on exit, so
@@ -490,15 +498,29 @@ func (t *Thread) Step() *Fault {
 // are identical to stepping one instruction at a time; the faulting
 // instruction counts toward Instrs (but not Cycles), as it always has.
 //
+// A run resumed at k0 > 0 is charged and profiled as if its suffix were
+// a run of its own: cum[k]-cum[k0] static cycles, attributed to pcs[k0].
+// Its slots execute unfused. A bite that stops a run at slot k < n
+// records (run, k) on the thread for the next dispatch to resume.
+//
 // Returns the number of instructions charged, including a faulting one.
-func (t *Thread) execRun(run *blockRun, tr *codeTrace, max int) (int, *Fault) {
+func (t *Thread) execRun(run *blockRun, k0 int, tr *codeTrace, max int) (int, *Fault) {
 	if max <= 0 {
 		return 0, nil
 	}
 	var fault *Fault
 	var nextPC uint64
 	done := 0
-	k := 0
+	if k0 > 0 {
+		// A run resumed at slot k0 counts and charges from there: done and
+		// Cycles start k0 slots and cum[k0] cycles back (modular
+		// arithmetic, so the intermediate Cycles value may wrap), which
+		// keeps the per-block arithmetic below free of k0. Nothing reads
+		// Cycles until the block's charge restores it.
+		done = -k0
+		t.Stats.Cycles -= uint64(run.cum[k0])
+	}
+	k := k0
 	prof := t.m.prof
 	var profC0 uint64
 chained:
@@ -510,23 +532,23 @@ chained:
 		if rem := max - done; nb > rem {
 			nb = rem
 		}
-		k = 0
 		// xs is the slot program: the fused program when the whole block
-		// runs (fused slots execute their idiom with one dispatch), the
-		// raw constituent list when a fuel or quantum bite truncates the
-		// block — a bite landing strictly inside a fused slot de-fuses it
-		// (Stats.Defuses) so the partial execution is constituent-exact.
-		// j indexes slots, k counts constituent instructions; pcs[] and
-		// cum[] stay constituent-indexed throughout.
+		// runs from its entry (fused slots execute their idiom with one
+		// dispatch), the raw constituent list when a fuel or quantum bite
+		// truncates the block or it resumes after one — a bite landing
+		// strictly inside a fused slot de-fuses it (Stats.Defuses) so the
+		// partial execution is constituent-exact. j indexes slots, k
+		// counts constituent instructions; pcs[] and cum[] stay
+		// constituent-indexed throughout.
 		xs := run.insts[:nb]
 		if run.xinsts != nil {
-			if nb == run.n {
+			if k == 0 && nb == run.n {
 				xs = run.xinsts
 			} else if run.splitsFused(nb) {
 				t.Stats.Defuses++
 			}
 		}
-		j := 0
+		j := k
 	loop:
 		for j < len(xs) {
 			ip := &xs[j]
@@ -865,7 +887,7 @@ chained:
 			// as it always has.
 			t.Stats.Cycles += uint64(run.cum[k-1])
 			if prof != nil {
-				prof.add(run.pcs[0], t.Stats.Cycles-profC0, uint64(k))
+				prof.add(run.pcs[k0], t.Stats.Cycles-profC0-uint64(run.cum[k0]), uint64(k-k0))
 			}
 			break chained
 		}
@@ -874,10 +896,11 @@ chained:
 		t.Stats.Cycles += uint64(run.cum[k])
 		if prof != nil {
 			// Attribute the block's cycle delta — the static cum[] charge
-			// plus every dynamic component the cases added — to its entry
-			// PC, and its executed slot count to Instrs. Summed over a run
-			// this conserves Stats exactly (see profile.go).
-			prof.add(run.pcs[0], t.Stats.Cycles-profC0, uint64(k))
+			// plus every dynamic component the cases added — to the PC it
+			// was entered (or resumed) at, and its executed slot count to
+			// Instrs. Summed over a run this conserves Stats exactly (see
+			// profile.go).
+			prof.add(run.pcs[k0], t.Stats.Cycles-profC0-uint64(run.cum[k0]), uint64(k-k0))
 		}
 		if t.Halted || k < run.n || done >= max {
 			break chained
@@ -893,27 +916,22 @@ chained:
 		var next *blockRun
 		switch run.term {
 		case asm.OpJmp:
-			if next = run.next; next == nil {
-				next = tr.chainTarget(t.m, nextPC)
-				run.next = next
+			if next = run.next.Load(); next == nil {
+				next = tr.chainTarget(&run.next, nextPC)
 			}
 		case asm.OpJcc:
 			if nextPC == run.takenPC {
-				if next = run.taken; next == nil {
-					next = tr.chainTarget(t.m, nextPC)
-					run.taken = next
+				if next = run.taken.Load(); next == nil {
+					next = tr.chainTarget(&run.taken, nextPC)
 				}
-			} else {
-				if next = run.fall; next == nil {
-					next = tr.chainTarget(t.m, nextPC)
-					run.fall = next
-				}
+			} else if next = run.fall.Load(); next == nil {
+				next = tr.chainTarget(&run.fall, nextPC)
 			}
 		}
 		if next == nil {
 			break
 		}
-		run = next
+		run, k, k0 = next, 0, 0
 	}
 
 	t.Stats.Instrs += uint64(done)
@@ -931,6 +949,9 @@ chained:
 			// Straight-line end: budget bite, early-ended block, or a plain
 			// interior prefix — resume at the fall-through slot PC.
 			t.PC = run.pcs[k]
+			if k < run.n {
+				t.resume, t.resumeK = run, k
+			}
 		}
 	}
 	return done, nil

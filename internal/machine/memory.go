@@ -7,6 +7,7 @@
 package machine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -364,6 +365,22 @@ func (mem *Memory) copyOut(addr uint64, dst []byte) {
 		dst = dst[n:]
 		addr += uint64(n)
 	}
+}
+
+// equal reports whether the bytes at addr match b (the range must be
+// mapped).
+func (mem *Memory) equal(addr uint64, b []byte) bool {
+	for len(b) > 0 {
+		p := mem.page(addr)
+		off := int(addr & (pageSize - 1))
+		n := min(len(b), pageSize-off)
+		if !bytes.Equal(p[off:off+n], b[:n]) {
+			return false
+		}
+		b = b[n:]
+		addr += uint64(n)
+	}
+	return true
 }
 
 func (mem *Memory) copyIn(addr uint64, src []byte) {

@@ -103,8 +103,8 @@ func (mode profMode) checkSlots(t *testing.T, m *Machine) {
 	}
 	fused := false
 	for _, tr := range m.traces {
-		for _, run := range tr.runs {
-			if run != nil && run.xinsts != nil {
+		for i := range tr.runs {
+			if run := tr.runs[i].Load(); run != nil && run.xinsts != nil {
 				fused = true
 			}
 		}

@@ -1,7 +1,7 @@
 package machine
 
 import (
-	"math"
+	"sync/atomic"
 
 	"confllvm/internal/asm"
 )
@@ -15,10 +15,10 @@ import (
 // counter write-backs; all of those are either hoisted to block entry or
 // deferred to block exit without changing any simulated result.
 //
-// Block IR: when buildBlock closes a superblock it flattens it into a
-// blockRun — a dense []asm.Inst slice plus per-slot PCs and terminator
-// metadata — cached in codeTrace.runs[entryOff], so execRun iterates a
-// flat slice instead of re-walking lens[o] offsets per instruction.
+// Block IR: when buildBlock closes a superblock it decodes it straight
+// into a blockRun — a dense []asm.Inst slice plus per-slot PCs and
+// terminator metadata — published in codeTrace.runs[entryOff], so
+// execRun iterates a flat slice and never decodes.
 //
 // Direct block chaining: a run ending in a direct jmp, and
 // both edges of a jcc, cache a pointer to the successor run when the
@@ -30,28 +30,26 @@ import (
 // change), outside [hndLo, hndHi] (no handler dispatch), decodable entry
 // (no decode fault).
 //
-// Invalidation mirrors the decode traces themselves: patching code bytes
-// (Memory.WriteBytesUnchecked) flushes whole traces — runs and the chain
-// links inside them die with the trace. In addition, blocks never span a
-// PC inside the registered trusted-handler address range [hndLo, hndHi]
-// and chain links never target one — per-instruction stepping probes the
-// handler map at every PC, so a block fused across (or chained into) a
-// handler address would skip a dispatch. rebuildHandlerIndex flushes all
-// run and block metadata whenever that range changes.
+// Bite resume: a fuel or quantum bite that stops a run at slot k records
+// (run, k) on the thread, and the next dispatch at that PC continues the
+// same run from slot k instead of building a suffix run there. So runs
+// are only ever entered by a control transfer (or a thread start), which
+// keeps the run index small enough to share across machines.
+//
+// Invalidation: runs and their links live inside a trace, and a trace is
+// never rewritten. Patching code bytes (Memory.WriteBytesUnchecked) or
+// changing the registered trusted-handler range [hndLo, hndHi] drops the
+// machine's traces (flushTraces) — and with them every run, link and
+// bite-resume point it could reach — and the next fetch builds a private
+// trace from the machine's own memory. The handler range matters
+// because blocks never span a PC inside it and chain links never target
+// one: per-instruction stepping probes the handler map at every PC, so a
+// block fused across (or chained into) a handler address would skip a
+// dispatch.
 
 // maxBlockLen caps a superblock at one scheduling quantum: longer blocks
-// would be split by the quantum budget anyway, and the cap keeps the
-// count comfortably inside the uint16 blocks slot.
+// would be split by the quantum budget anyway.
 const maxBlockLen = quantum
-
-func init() {
-	// buildBlock narrows block lengths into the uint16 blocks[] index and
-	// relies on maxBlockLen == quantum to bound them; guard the narrowing
-	// against a future quantum bump.
-	if quantum > math.MaxUint16 {
-		panic("machine: quantum does not fit the uint16 blocks[] narrowing")
-	}
-}
 
 // blockEnd reports whether op terminates a superblock: the ops that set
 // the next PC non-sequentially, halt the thread, or unconditionally
@@ -69,13 +67,15 @@ func blockEnd(op asm.Op) bool {
 
 // blockRun is the flattened (block-IR) form of one superblock. Slot k's
 // instruction is insts[k]; pcs[k] is its PC and pcs[k+1] its fall-through
-// PC (pcs has n+1 entries), so execRun needs no lens[] walk and can
-// reconstruct the exact faulting PC from a slot index alone. The chain
-// fields cache validated successor links, resolved lazily on first use;
-// nil means unresolved-or-unchainable, and a failed resolution simply
-// falls back to the dispatcher (retrying costs two compares).
+// PC (pcs has n+1 entries), so execRun can reconstruct the exact faulting
+// PC from a slot index alone. Everything but the chain links is fixed
+// when the run is published. The links cache validated successors,
+// resolved lazily on first use; nil means unresolved-or-unchainable, and
+// a failed resolution simply falls back to the dispatcher (retrying
+// costs two compares). A link always names its target's canonical run,
+// so racing resolutions store the same pointer.
 type blockRun struct {
-	insts []asm.Inst // flattened copies of the block's instructions
+	insts []asm.Inst // the block's decoded instructions
 	pcs   []uint64   // pcs[k] = PC of slot k; pcs[n] = fall-through PC
 	cum   []uint32   // cum[k] = summed static cost of slots [0,k)
 	n     int        // == len(insts)
@@ -87,10 +87,10 @@ type blockRun struct {
 	// chained: their successor dispatch must re-probe everything (and the
 	// off-region case must fault on fetch exactly as stepping mode does).
 	term    asm.Op
-	takenPC uint64    // jmp/jcc branch target (uint64(Imm))
-	next    *blockRun // chained successor of a direct jmp
-	taken   *blockRun // chained jcc taken edge
-	fall    *blockRun // chained jcc fall-through edge
+	takenPC uint64                   // jmp/jcc branch target (uint64(Imm))
+	next    atomic.Pointer[blockRun] // chained successor of a direct jmp
+	taken   atomic.Pointer[blockRun] // chained jcc taken edge
+	fall    atomic.Pointer[blockRun] // chained jcc fall-through edge
 
 	// short marks a run truncated by a caller limit below maxBlockLen
 	// (Step's one-slot builds): correct to execute, but block dispatch
@@ -109,69 +109,73 @@ type blockRun struct {
 }
 
 // buildBlock decodes straight-line instructions from off up to and
-// including the first terminator (capped at limit slots), flattens them
-// into a blockRun cached at tr.runs[off] (recording the count in
-// tr.blocks[off]), and returns it. Block dispatch passes maxBlockLen;
-// Step passes 1 so that stepping through a long straight-line stretch
-// builds one-slot runs instead of a quadratic pile of overlapping
-// suffixes. A decode failure at off itself is the caller's fault to
-// deliver; a failure further in simply ends the block early — execution
-// faults there when, and only when, the PC actually reaches that slot,
-// exactly as per-instruction stepping would.
-func (tr *codeTrace) buildBlock(m *Machine, off uint64, limit int) (*blockRun, *Fault) {
-	n := 0
+// including the first terminator (capped at limit slots) into a
+// blockRun, publishes it at tr.runs[off], and returns it. Block dispatch
+// passes maxBlockLen; Step passes 1 so that stepping through a long
+// straight-line stretch builds one-slot runs instead of a quadratic pile
+// of overlapping suffixes. A decode failure at off itself is the
+// caller's fault to deliver; a failure further in simply ends the block
+// early — execution faults there when, and only when, the PC actually
+// reaches that slot, exactly as per-instruction stepping would.
+//
+// Builds are serialized by tr.mu. A run another builder published in the
+// meantime is returned instead when it serves the caller: any run for a
+// one-slot build, a full-length one otherwise.
+func (tr *codeTrace) buildBlock(off uint64, limit int) (*blockRun, *Fault) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if run := tr.runs[off].Load(); run != nil && (limit == 1 || !run.short) {
+		return run, nil
+	}
+	insts, pcs := tr.insts[:0], tr.pcs[:0]
 	term := asm.OpInvalid
-	for o := off; ; {
-		ln := int(tr.lens[o])
-		if ln == 0 {
-			dn, err := asm.DecodeInto(&tr.insts[o], tr.code, int(o))
-			if err != nil {
-				if n == 0 {
-					return nil, &Fault{Kind: FaultDecode, Addr: tr.lo + o, Msg: err.Error()}
-				}
-				break
+	o := off
+	for {
+		var in asm.Inst
+		ln, err := asm.DecodeInto(&in, tr.code, int(o))
+		if err != nil {
+			if len(insts) == 0 {
+				return nil, &Fault{Kind: FaultDecode, Addr: tr.lo + o, Msg: err.Error()}
 			}
-			tr.lens[o] = uint8(dn)
-			ln = dn
-		}
-		n++
-		if op := tr.insts[o].Op; blockEnd(op) {
-			term = op
 			break
 		}
-		if n >= limit {
-			break
-		}
+		insts = append(insts, in)
+		pcs = append(pcs, tr.lo+o)
 		o += uint64(ln)
+		if blockEnd(in.Op) {
+			term = in.Op
+			break
+		}
+		if len(insts) >= limit {
+			break
+		}
 		if o >= tr.size {
 			// Straight-line code running off the region: the next dispatch
 			// faults on fetch, as stepping mode does. term stays OpInvalid
 			// so the run is never chained past the missing fetch.
 			break
 		}
-		if pc := tr.lo + o; pc >= m.hndLo && pc <= m.hndHi {
+		if pc := tr.lo + o; pc >= tr.hndLo && pc <= tr.hndHi {
 			// The successor PC could be a trusted handler: end the block so
 			// the dispatcher re-probes the handler map there.
 			break
 		}
 	}
+	pcs = append(pcs, tr.lo+o)    // the fall-through PC
+	tr.insts, tr.pcs = insts, pcs // keep the grown scratch
 
+	n := len(insts)
 	run := &blockRun{
-		insts: make([]asm.Inst, n),
-		pcs:   make([]uint64, n+1),
+		insts: append([]asm.Inst(nil), insts...),
+		pcs:   append([]uint64(nil), pcs...),
 		cum:   make([]uint32, n+1),
 		n:     n,
 		term:  term,
 		short: term == asm.OpInvalid && n == limit && limit < maxBlockLen,
 	}
-	o := off
 	for i := 0; i < n; i++ {
-		run.insts[i] = tr.insts[o]
-		run.pcs[i] = tr.lo + o
-		run.cum[i+1] = run.cum[i] + staticCost(tr.insts[o].Op)
-		o += uint64(tr.lens[o])
+		run.cum[i+1] = run.cum[i] + staticCost(run.insts[i].Op)
 	}
-	run.pcs[n] = tr.lo + o
 	if term == asm.OpJmp || term == asm.OpJcc {
 		run.takenPC = uint64(run.insts[n-1].Imm)
 	}
@@ -181,8 +185,7 @@ func (tr *codeTrace) buildBlock(m *Machine, off uint64, limit int) (*blockRun, *
 	// at least two constituents — so a prior Step at a hot PC cannot
 	// change the fusion of the full-length run block dispatch rebuilds.
 	fuseRun(run)
-	tr.blocks[off] = uint16(n)
-	tr.runs[off] = run
+	tr.runs[off].Store(run)
 	return run, nil
 }
 
@@ -209,33 +212,38 @@ func staticCost(op asm.Op) uint32 {
 	return 1
 }
 
-// chainTarget resolves a chain link: the run entered at pc, built on
-// demand, or nil when pc must go back through the full dispatcher — a
-// different trace (the target may need a fetch fault or a trace switch),
-// a PC inside the trusted-handler range (the handler map must be
-// probed), or an entry that fails to decode (the dispatcher delivers
-// that fault with stepping-identical charging).
-func (tr *codeTrace) chainTarget(m *Machine, pc uint64) *blockRun {
+// chainTarget resolves a chain link to pc and caches it in link: the run
+// entered at pc, built on demand, or nil (left uncached) when pc must go
+// back through the full dispatcher — a different trace (the target may
+// need a fetch fault or a trace switch), a PC inside the trusted-handler
+// range (the handler map must be probed), or an entry that fails to
+// decode (the dispatcher delivers that fault with stepping-identical
+// charging).
+func (tr *codeTrace) chainTarget(link *atomic.Pointer[blockRun], pc uint64) *blockRun {
 	off := pc - tr.lo
 	if off >= tr.size {
 		return nil
 	}
-	if pc >= m.hndLo && pc <= m.hndHi {
+	if pc >= tr.hndLo && pc <= tr.hndHi {
 		return nil
 	}
-	run := tr.runs[off]
+	run := tr.runs[off].Load()
 	if run == nil || run.short {
-		run, _ = tr.buildBlock(m, off, maxBlockLen)
+		if run, _ = tr.buildBlock(off, maxBlockLen); run == nil {
+			return nil
+		}
 	}
+	link.Store(run)
 	return run
 }
 
 // stepBlocks executes up to max instructions on t: trusted-handler
 // dispatches (each counting as one instruction, exactly like a Step
 // call), chained sequences of whole superblocks, and budget-capped block
-// prefixes when a quantum or fuel boundary lands mid-block — the
-// remainder simply becomes a new block entry at the interior PC. Returns
-// the number of instructions charged, including a faulting one.
+// prefixes when a quantum or fuel boundary lands mid-block — the next
+// dispatch at the interior PC resumes the bitten run in place (see
+// execRun). Returns the number of instructions charged, including a
+// faulting one.
 func (t *Thread) stepBlocks(max int) (int, *Fault) {
 	m := t.m
 	done := 0
@@ -272,36 +280,34 @@ func (t *Thread) stepBlocks(max int) (int, *Fault) {
 			}
 			m.lastTrace = tr
 		}
-		run := tr.runs[t.PC-tr.lo]
-		if run == nil || run.short {
-			var f *Fault
-			if run, f = tr.buildBlock(m, t.PC-tr.lo, maxBlockLen); f != nil {
-				// The entry instruction is undecodable: the charge matches
-				// the Step call that would have faulted fetching it.
-				return done + 1, t.fault(f)
+		var run *blockRun
+		k0 := 0
+		if r := t.resume; r != nil {
+			// A bite-resume point is only ever recorded in a trace the
+			// machine still references (flushTraces clears it), so
+			// matching the PC is all it takes to continue the run in
+			// place.
+			t.resume = nil
+			if r.pcs[t.resumeK] == t.PC {
+				run, k0 = r, t.resumeK
 			}
 		}
-		n, f := t.execRun(run, tr, max-done)
+		if run == nil {
+			if run = tr.runs[t.PC-tr.lo].Load(); run == nil || run.short {
+				var f *Fault
+				if run, f = tr.buildBlock(t.PC-tr.lo, maxBlockLen); f != nil {
+					// The entry instruction is undecodable: the charge
+					// matches the Step call that would have faulted fetching
+					// it.
+					return done + 1, t.fault(f)
+				}
+			}
+		}
+		n, f := t.execRun(run, k0, tr, max-done)
 		done += n
 		if f != nil {
 			return done, f
 		}
 	}
 	return done, nil
-}
-
-// flushBlocks invalidates superblock metadata — flattened runs, chain
-// links, and the block-length index — in every decode trace. The decoded
-// instructions are untouched: this is for events that move dispatch
-// points (handler-index changes), not code-byte patches — those flush
-// the traces wholesale.
-func (m *Machine) flushBlocks() {
-	for _, tr := range m.traces {
-		for i := range tr.blocks {
-			tr.blocks[i] = 0
-		}
-		for i := range tr.runs {
-			tr.runs[i] = nil
-		}
-	}
 }

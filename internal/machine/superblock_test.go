@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"confllvm/internal/asm"
@@ -37,7 +38,16 @@ func buildFor(t *testing.T, conf Config, insts []asm.Inst) (*Machine, *Thread) {
 // superblock thread.
 func runParity(t *testing.T, insts []asm.Inst, fuel uint64, setup func(*Thread)) (*Thread, *Thread) {
 	t.Helper()
-	run := func(superblocks bool) (*Machine, *Thread, *Fault) {
+	return runParityResumed(t, insts, fuel, 0, setup)
+}
+
+// runParityResumed is runParity followed, when resume > 0, by a second
+// Run of both machines from where the first one stopped — its fault
+// cleared, with resume units of fuel — compared the same way. After a
+// fuel bite that continues the bitten run in place.
+func runParityResumed(t *testing.T, insts []asm.Inst, fuel, resume uint64, setup func(*Thread)) (*Thread, *Thread) {
+	t.Helper()
+	build := func(superblocks bool) (*Machine, *Thread) {
 		conf := DefaultConfig()
 		conf.Superblocks = superblocks
 		if fuel > 0 {
@@ -47,38 +57,53 @@ func runParity(t *testing.T, insts []asm.Inst, fuel uint64, setup func(*Thread))
 		if setup != nil {
 			setup(th)
 		}
-		return m, th, m.Run()
+		return m, th
 	}
-	mA, thA, fA := run(false)
-	mB, thB, fB := run(true)
+	mA, thA := build(false)
+	mB, thB := build(true)
+	compareParity(t, fmt.Sprintf("fuel=%d", fuel), mA, thA, mA.Run(), mB, thB, mB.Run())
+	if resume > 0 {
+		for _, m := range []*Machine{mA, mB} {
+			th := m.Threads[0]
+			th.Halted, th.Fault = false, nil
+			m.Conf.DefaultFuel = resume
+		}
+		compareParity(t, fmt.Sprintf("fuel=%d resume=%d", fuel, resume), mA, thA, mA.Run(), mB, thB, mB.Run())
+	}
+	return thA, thB
+}
+
+// compareParity requires a stepping run (A) and a superblock run (B) to
+// agree on faults, registers, PC, flags, architectural stats and memory.
+func compareParity(t *testing.T, label string, mA *Machine, thA *Thread, fA *Fault, mB *Machine, thB *Thread, fB *Fault) {
+	t.Helper()
 	if (fA == nil) != (fB == nil) {
-		t.Fatalf("[fuel=%d] fault mismatch: stepwise=%v superblock=%v", fuel, fA, fB)
+		t.Fatalf("[%s] fault mismatch: stepwise=%v superblock=%v", label, fA, fB)
 	}
 	if fA != nil {
 		if *fA != *fB {
-			t.Fatalf("[fuel=%d] fault mismatch:\nstepwise:   %+v\nsuperblock: %+v", fuel, *fA, *fB)
+			t.Fatalf("[%s] fault mismatch:\nstepwise:   %+v\nsuperblock: %+v", label, *fA, *fB)
 		}
 		if fA.Error() != fB.Error() {
-			t.Fatalf("[fuel=%d] fault message mismatch:\nstepwise:   %s\nsuperblock: %s",
-				fuel, fA.Error(), fB.Error())
+			t.Fatalf("[%s] fault message mismatch:\nstepwise:   %s\nsuperblock: %s",
+				label, fA.Error(), fB.Error())
 		}
 	}
 	if thA.Regs != thB.Regs {
-		t.Fatalf("[fuel=%d] register mismatch:\nstepwise:   %v\nsuperblock: %v", fuel, thA.Regs, thB.Regs)
+		t.Fatalf("[%s] register mismatch:\nstepwise:   %v\nsuperblock: %v", label, thA.Regs, thB.Regs)
 	}
 	if thA.PC != thB.PC {
-		t.Fatalf("[fuel=%d] PC mismatch: stepwise=%#x superblock=%#x", fuel, thA.PC, thB.PC)
+		t.Fatalf("[%s] PC mismatch: stepwise=%#x superblock=%#x", label, thA.PC, thB.PC)
 	}
 	if thA.ZF != thB.ZF || thA.SF != thB.SF || thA.CF != thB.CF || thA.OF != thB.OF {
-		t.Fatalf("[fuel=%d] flag mismatch", fuel)
+		t.Fatalf("[%s] flag mismatch", label)
 	}
 	if thA.Stats.Arch() != thB.Stats.Arch() {
-		t.Fatalf("[fuel=%d] stats mismatch:\nstepwise:   %+v\nsuperblock: %+v", fuel, thA.Stats, thB.Stats)
+		t.Fatalf("[%s] stats mismatch:\nstepwise:   %+v\nsuperblock: %+v", label, thA.Stats, thB.Stats)
 	}
 	if dA, dB := mA.Mem.Digest(), mB.Mem.Digest(); dA != dB {
-		t.Fatalf("[fuel=%d] memory digest mismatch: %#x vs %#x", fuel, dA, dB)
+		t.Fatalf("[%s] memory digest mismatch: %#x vs %#x", label, dA, dB)
 	}
-	return thA, thB
 }
 
 // encodeLen returns the encoded length of one instruction.
@@ -410,14 +435,14 @@ func TestChainStraightLineOffRegion(t *testing.T) {
 	// White-box: the final block must have been built as unchainable (no
 	// terminator, so no edge to follow past the missing fetch).
 	tr := mB.traces[0]
-	run := tr.runs[offEdge]
+	run := tr.runs[offEdge].Load()
 	if run == nil {
 		t.Fatalf("no run built at the fall-through block (off %#x)", offEdge)
 	}
 	if run.term != asm.OpInvalid {
 		t.Fatalf("off-region block has terminator %v, want OpInvalid", run.term)
 	}
-	if run.next != nil || run.taken != nil || run.fall != nil {
+	if run.next.Load() != nil || run.taken.Load() != nil || run.fall.Load() != nil {
 		t.Fatal("off-region block cached a chain link; it must never chain")
 	}
 }
@@ -492,11 +517,81 @@ func chainLoopWithHandler(t *testing.T, conf Config, iters int64,
 	return m, th
 }
 
+// plainHandler is the chainLoopWithHandler handler that only returns.
+func plainHandler(addPC, skipPC uint64) Handler {
+	return func(m *Machine, t *Thread) *Fault {
+		ret, f := t.Pop()
+		if f != nil {
+			return f
+		}
+		t.PC = ret
+		return nil
+	}
+}
+
+// checkSharedIsolation runs machine A (from mkA, whose run patches code
+// or registers a handler mid-run) and machine B (from mkB, the same code
+// with a handler that does neither) on one shared trace: A's trace is
+// shared and B attaches it before either runs. A's event must drop only
+// A's reference, so A's result must still equal wantA (the stepping
+// result) and B's must equal a solo run of B on a private trace. It
+// checks B after A has finished, and with both running at once (which
+// the race detector checks too).
+func checkSharedIsolation(t *testing.T, mkA, mkB func() (*Machine, *Thread), wantA *Thread) {
+	t.Helper()
+	mRef, ref := mkB()
+	if f := mRef.Run(); f != nil {
+		t.Fatal(f)
+	}
+	for _, concurrent := range []bool{false, true} {
+		mA, thA := mkA()
+		mB, thB := mkB()
+		mA.RefreshHandlers()
+		mB.RefreshHandlers()
+		sc, f := mA.ShareCode(0x1000)
+		if f != nil {
+			t.Fatal(f)
+		}
+		if !mB.AttachCode(sc) {
+			t.Fatal("machine B did not attach machine A's shared code")
+		}
+		var fA, fB *Fault
+		if concurrent {
+			done := make(chan struct{})
+			go func() {
+				fA = mA.Run()
+				close(done)
+			}()
+			fB = mB.Run()
+			<-done
+		} else {
+			fA = mA.Run()
+			fB = mB.Run()
+		}
+		if fA != nil || fB != nil {
+			t.Fatalf("concurrent=%v: faults A=%v B=%v", concurrent, fA, fB)
+		}
+		if thA.Regs != wantA.Regs || thA.Stats.Arch() != wantA.Stats.Arch() || thA.PC != wantA.PC {
+			t.Fatalf("concurrent=%v: machine A on shared code diverged from stepping:\nwant %+v\ngot  %+v",
+				concurrent, wantA.Stats, thA.Stats)
+		}
+		if thB.Regs != ref.Regs || thB.Stats.Arch() != ref.Stats.Arch() || thB.PC != ref.PC ||
+			mB.Mem.Digest() != mRef.Mem.Digest() {
+			t.Fatalf("concurrent=%v: machine A's event reached machine B:\nwant %+v\ngot  %+v",
+				concurrent, ref.Stats, thB.Stats)
+		}
+		if len(mA.traces) != 1 || mA.traces[0] == sc.tr {
+			t.Fatalf("concurrent=%v: machine A still runs on the shared trace after its event", concurrent)
+		}
+	}
+}
+
 // TestChainedCodePatchInvalidation: a trusted handler patches the body of
 // a loop that is already executing through cached chain links. The patch
-// flushes the traces (runs and links included), so the remaining
-// iterations must execute the new bytes — identically in all three
-// under stepping and superblocks.
+// drops the machine's traces (runs and links included), so the
+// remaining iterations must execute the new bytes — identically under
+// stepping and superblocks — while a second machine sharing the trace
+// keeps executing the original bytes.
 func TestChainedCodePatchInvalidation(t *testing.T) {
 	mk := func(superblocks bool) (*Machine, *Thread) {
 		conf := DefaultConfig()
@@ -542,6 +637,8 @@ func TestChainedCodePatchInvalidation(t *testing.T) {
 	if dA, dB := mA.Mem.Digest(), mB.Mem.Digest(); dA != dB {
 		t.Fatal("memory digest mismatch after patch")
 	}
+	checkSharedIsolation(t, func() (*Machine, *Thread) { return mk(true) },
+		func() (*Machine, *Thread) { return chainLoopWithHandler(t, DefaultConfig(), 6, plainHandler) }, thA)
 }
 
 // TestChainedHandlerRegistrationMidRun: a trusted handler registers a
@@ -549,9 +646,9 @@ func TestChainedCodePatchInvalidation(t *testing.T) {
 // handler index rebuild (hoisted to run after handler dispatches) moves
 // [hndLo, hndHi] across the loop and flushes every run and chain link,
 // so the new handler must be dispatched — in stepping and superblocks
-// identically. On the add it shadows a block interior; on the loop head
-// it shadows the jcc's taken target, which chain resolution must refuse
-// to link into.
+// identically — and not on a second machine sharing the trace. On the
+// add it shadows a block interior; on the loop head it shadows the jcc's
+// taken target, which chain resolution must refuse to link into.
 func TestChainedHandlerRegistrationMidRun(t *testing.T) {
 	callLen := uint64(encodeLen(asm.Inst{Op: asm.OpCall, Imm: 0x9000}))
 	cases := []struct {
@@ -610,6 +707,8 @@ func TestChainedHandlerRegistrationMidRun(t *testing.T) {
 				t.Fatalf("state mismatch after mid-run handler registration:\nstepwise:   %+v\nsuperblock: %+v",
 					thA.Stats, thB.Stats)
 			}
+			checkSharedIsolation(t, func() (*Machine, *Thread) { return mk(true) },
+				func() (*Machine, *Thread) { return chainLoopWithHandler(t, DefaultConfig(), 8, plainHandler) }, thA)
 		})
 	}
 }
@@ -617,7 +716,9 @@ func TestChainedHandlerRegistrationMidRun(t *testing.T) {
 // TestChainLinksResolvedAndFlushed is the white-box pin on the chain
 // cache itself: a hot self-loop must end up with its taken edge chained
 // to its own run and its fall edge chained to the exit block, and a
-// handler-range change must drop every run, block count and link.
+// handler-range change must drop the machine's trace — runs and links
+// with it — while leaving the dropped trace itself untouched (another
+// machine may share it).
 func TestChainLinksResolvedAndFlushed(t *testing.T) {
 	pre := []asm.Inst{{Op: asm.OpMovRI, Dst: asm.RCX, Imm: 500}}
 	loopStart := int64(0x1000) + encodeLen(pre[0])
@@ -636,27 +737,33 @@ func TestChainLinksResolvedAndFlushed(t *testing.T) {
 	}
 	tr := m.traces[0]
 	off := uint64(loopStart) - tr.lo
-	run := tr.runs[off]
+	run := tr.runs[off].Load()
 	if run == nil || run.term != asm.OpJcc {
 		t.Fatalf("loop block not built as a jcc run: %+v", run)
 	}
-	if tr.blocks[off] != uint16(run.n) {
-		t.Fatalf("blocks[] count %d disagrees with run length %d", tr.blocks[off], run.n)
+	if got := run.taken.Load(); got != run {
+		t.Fatalf("self-loop taken edge not chained to its own run (got %p, want %p)", got, run)
 	}
-	if run.taken != run {
-		t.Fatalf("self-loop taken edge not chained to its own run (got %p, want %p)", run.taken, run)
-	}
-	if run.fall == nil || run.fall.term != asm.OpExit {
-		t.Fatalf("fall edge not chained to the exit block: %+v", run.fall)
+	if fall := run.fall.Load(); fall == nil || fall.term != asm.OpExit {
+		t.Fatalf("fall edge not chained to the exit block: %+v", fall)
 	}
 
-	// A handler-range change must flush runs, counts and links together.
+	// A handler-range change drops the trace, runs and links with it.
 	m.Handlers[0x9000] = func(m *Machine, t *Thread) *Fault { return nil }
 	m.RefreshHandlers()
-	for i := range tr.runs {
-		if tr.runs[i] != nil || tr.blocks[i] != 0 {
-			t.Fatalf("run/block metadata at off %#x survived a handler-range flush", i)
-		}
+	if len(m.traces) != 0 || m.lastTrace != nil {
+		t.Fatalf("machine still references %d traces after a handler-range change", len(m.traces))
+	}
+	if tr.runs[off].Load() != run || run.taken.Load() != run {
+		t.Fatal("the handler-range change rewrote the dropped trace in place")
+	}
+	// The next fetch builds a fresh trace for the new range.
+	th.Halted, th.PC = false, 0x1000
+	if f := m.Run(); f != nil {
+		t.Fatal(f)
+	}
+	if len(m.traces) != 1 || m.traces[0] == tr || m.traces[0].hndLo != 0x9000 {
+		t.Fatal("no fresh trace was built for the new handler range")
 	}
 }
 
@@ -683,7 +790,7 @@ func TestStepThenRunRebuildsFullBlocks(t *testing.T) {
 	}
 	tr := m.traces[0]
 	off := uint64(loopStart) - tr.lo
-	if run := tr.runs[off]; run == nil || !run.short || run.n != 1 {
+	if run := tr.runs[off].Load(); run == nil || !run.short || run.n != 1 {
 		t.Fatalf("expected a cached one-slot short run at the loop head after Step, got %+v", run)
 	}
 
@@ -692,11 +799,11 @@ func TestStepThenRunRebuildsFullBlocks(t *testing.T) {
 	if f := m.Run(); f != nil {
 		t.Fatal(f)
 	}
-	run := tr.runs[off]
+	run := tr.runs[off].Load()
 	if run == nil || run.short || run.n < 4 || run.term != asm.OpJcc {
 		t.Fatalf("block dispatch did not rebuild the short run at full length: %+v", run)
 	}
-	if run.taken != run {
+	if run.taken.Load() != run {
 		t.Fatal("rebuilt loop run was not chained to itself")
 	}
 	if th.Regs[asm.RAX] != 300 {
